@@ -23,8 +23,6 @@ from .model import (
     edges_of,
     load_model,
     loads_model,
-    post_of,
-    pre_of,
     prune,
     save_model,
     validate,

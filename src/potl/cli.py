@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success (and, for check, initial state satisfied); 1 check
-ran but the initial state does not satisfy; 2 usage or formula errors;
-3 invalid model; 4 no convergence; 5 oracle enumeration too large.
+ran but the initial state does not satisfy; 2 usage or formula errors,
+including a negative grade, an epsilon that is not finite and positive, a
+maximum iteration count below 1, and edge costs too wide for the removal
+optimizer; 3 invalid model; 4 no convergence; 5 oracle enumeration too
+large.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from . import engine, oracle
 from .engine import ConvergenceError, EngineOptions
 from .model import ModelError, Pots, load_model, validate
 from .obstruction import (
+    CostRangeError,
     MemorylessStrategy,
     load_strategy,
     save_strategy,
@@ -98,11 +102,14 @@ def _read_path(args) -> PathFormula:
 
 
 def _engine_options(args) -> EngineOptions:
-    return EngineOptions(
-        epsilon=args.epsilon,
-        max_iterations=args.max_iterations,
-        solver=args.solver,
-    )
+    try:
+        return EngineOptions(
+            epsilon=args.epsilon,
+            max_iterations=args.max_iterations,
+            solver=args.solver,
+        )
+    except ValueError as exc:
+        raise _CliError(f"bad engine option: {exc}", EXIT_USAGE)
 
 
 def _result_payload(result: engine.CheckResult) -> dict:
@@ -274,7 +281,7 @@ def _cmd_oracle(args) -> int:
             }
             if isinstance(phi, ObstructQuery):
                 values = oracle.oracle_query_values(model, phi, args.limit)
-                payload["mode"] = "min" if phi.cmp in ("<", "<=") else "max"
+                payload["mode"] = phi.mode
                 payload["grade"] = phi.grade
                 payload["values"] = {
                     q: _rational_text(v) for q, v in sorted(values.items())
@@ -290,7 +297,7 @@ def _cmd_oracle(args) -> int:
             _emit(args, payload, lines)
             return 0
         theta = _read_path(args)
-        sat1, sat2 = _oracle_operand_sets(model, theta, args.limit)
+        sat1, sat2 = oracle.operand_sets(model, theta, args.limit)
         if args.strategy:
             strategy = _load_strategy_for(model, args.strategy)
             values = oracle.exact_prob(model, strategy, theta, sat1, sat2)
@@ -331,15 +338,6 @@ def _cmd_oracle(args) -> int:
         return 0
     except oracle.EnumerationLimit as exc:
         raise _CliError(str(exc), EXIT_ORACLE_LIMIT)
-
-
-def _oracle_operand_sets(model, theta, limit):
-    if isinstance(theta, Next):
-        return frozenset(), oracle.oracle_sat(model, theta.body, limit)
-    return (
-        oracle.oracle_sat(model, theta.left, limit),
-        oracle.oracle_sat(model, theta.right, limit),
-    )
 
 
 def _cmd_conformance(args) -> int:
@@ -394,6 +392,13 @@ def _cmd_conformance(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_engine_flags(sub) -> None:
     sub.add_argument("--epsilon", type=float, default=1e-10)
     sub.add_argument("--max-iterations", type=int, default=10**6)
@@ -420,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     prob = subparsers.add_parser("prob", help="per-state path probabilities")
     prob.add_argument("--model", required=True)
     prob.add_argument("--path", required=True)
-    prob.add_argument("--grade", type=int, default=0)
+    prob.add_argument("--grade", type=non_negative_int, default=0)
     prob.add_argument("--mode", choices=["min", "max"], default="min")
     prob.add_argument("--state")
     prob.add_argument("--strategy", help="evaluate this fixed strategy instead")
@@ -431,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = subparsers.add_parser("synthesize", help="extract a witness strategy")
     synth.add_argument("--model", required=True)
     synth.add_argument("--path", required=True)
-    synth.add_argument("--grade", type=int, required=True)
+    synth.add_argument("--grade", type=non_negative_int, required=True)
     synth.add_argument("--mode", choices=["min", "max"], default="min")
     synth.add_argument("--output", "-o")
     _add_engine_flags(synth)
@@ -448,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = orc.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--path")
-    orc.add_argument("--grade", type=int, default=0)
+    orc.add_argument("--grade", type=non_negative_int, default=0)
     orc.add_argument("--mode", choices=["min", "max"], default="min")
     orc.add_argument("--strategy")
     orc.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT)
@@ -460,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     conf.add_argument("--model", required=True)
     conf.add_argument("--path", required=True)
-    conf.add_argument("--grade", type=int, required=True)
+    conf.add_argument("--grade", type=non_negative_int, required=True)
     conf.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT)
     conf.add_argument("--json", action="store_true")
     conf.set_defaults(func=_cmd_conformance)
@@ -476,6 +481,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except CostRangeError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,10 +1,14 @@
 """Satisfaction-set computation over the float path.
 
 Formulas are processed bottom-up; each obstruction query turns into a
-per-state optimum over removal strategies, computed operator by operator:
-one-step sums for next, finite sweeps for the bounded operators, and
-fixed-point iteration (or policy iteration with a power-method inner
-solve) for unbounded until and release.
+per-state optimum over removal strategies. Every core path operator is a
+frame: the states pinned to 1, the states pinned to 0, the undetermined
+states a sweep updates, and their start values. One Jacobi sweep over the
+undetermined states serves all five operators: next is one sweep, the
+step-bounded operators are k sweeps, and unbounded until and release
+repeat it to a fixed point, either with the optimizer as the step (value
+iteration) or with a fixed policy's row sums as the step (the power
+method inside policy iteration).
 
 Measure convention: pruned probability mass vanishes, nothing is
 renormalized, and release is never complemented through until.
@@ -15,9 +19,10 @@ are immutable, so concurrent queries against a shared model are safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .model import Pots, prune
 from .obstruction import (
@@ -60,8 +65,12 @@ class EngineOptions:
     solver: str = "vi"  # "vi" value iteration | "pi" policy iteration + power method
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
+        if self.max_iterations < 1:
+            raise ValueError(
+                f"max_iterations must be at least 1, got {self.max_iterations}"
+            )
         if self.solver not in ("vi", "pi"):
             raise ValueError(f"solver must be 'vi' or 'pi', got {self.solver!r}")
 
@@ -87,97 +96,18 @@ class Stats:
     warnings: list = field(default_factory=list)
 
 
-def _sweep_value(
-    model: Pots, q: str, budget: int, x: Mapping[str, float], mode: str
-) -> float:
-    if mode == "min":
-        return best_removal(model, q, budget, x)[1]
-    return sum(model.trans(q, r) * x[r] for r in model.succ(q))
+# -- frames ---------------------------------------------------------------------
 
 
-# -- next ---------------------------------------------------------------------
+class Frame(NamedTuple):
+    """One core operator's shape. ``start`` holds every state's value before
+    the first sweep; pinned states are the ones outside ``undetermined`` and
+    keep their start value. ``sweeps`` is the step count, or None for a
+    fixed point."""
 
-
-def prob_next(
-    model: Pots, sat_body: frozenset[str], budget: int, mode: str
-) -> dict[str, float]:
-    indicator = {q: (1.0 if q in sat_body else 0.0) for q in model.states}
-    return clamp_vector(
-        {q: _sweep_value(model, q, budget, indicator, mode) for q in model.states}
-    )
-
-
-# -- bounded until / release ---------------------------------------------------
-
-
-def _bounded_sweeps(
-    model: Pots,
-    sat1: frozenset[str],
-    sat2: frozenset[str],
-    bound: int,
-    budget: int,
-    mode: str,
-    release: bool,
-    stats: Stats | None = None,
-    keep_previous: bool = False,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Runs the step recursion; returns (final, previous) vectors. The
-    previous vector backs witness extraction (the first decision taken
-    from the full horizon)."""
-    both = sat1 & sat2
-    x = {q: (1.0 if q in sat2 else 0.0) for q in model.states}
-    prev = x
-    for _ in range(bound):
-        prev = x
-        nxt = {}
-        for q in model.states:
-            if release:
-                if q not in sat2:
-                    nxt[q] = 0.0
-                elif q in both:
-                    nxt[q] = 1.0
-                else:
-                    nxt[q] = _sweep_value(model, q, budget, x, mode)
-            else:
-                if q in sat2:
-                    nxt[q] = 1.0
-                elif q not in sat1:
-                    nxt[q] = 0.0
-                else:
-                    nxt[q] = _sweep_value(model, q, budget, x, mode)
-        x = nxt
-        if stats is not None:
-            stats.iterations += 1
-    return x, (prev if keep_previous else x)
-
-
-def prob_bounded_until(
-    model: Pots,
-    sat1: frozenset[str],
-    sat2: frozenset[str],
-    bound: int,
-    budget: int,
-    mode: str,
-    stats: Stats | None = None,
-) -> dict[str, float]:
-    x, _ = _bounded_sweeps(model, sat1, sat2, bound, budget, mode, False, stats)
-    return clamp_vector(x)
-
-
-def prob_bounded_release(
-    model: Pots,
-    sat1: frozenset[str],
-    sat2: frozenset[str],
-    bound: int,
-    budget: int,
-    mode: str,
-    stats: Stats | None = None,
-) -> dict[str, float]:
-    x, _ = _bounded_sweeps(model, sat1, sat2, bound, budget, mode, True, stats)
-    return clamp_vector(x)
-
-
-# -- unbounded until -------------------------------------------------------------
+    start: dict[str, float]
+    undetermined: list[str]
+    sweeps: int | None
 
 
 def _backward_reachable(
@@ -194,112 +124,149 @@ def _backward_reachable(
     return frozenset(reached)
 
 
-def _until_frame(
-    model: Pots, sat1: frozenset[str], sat2: frozenset[str]
-) -> tuple[dict[str, float], list[str]]:
-    """Initial vector and undetermined states. States that cannot reach the
-    target through the left operand in the unpruned graph are pinned to 0,
-    which is sound for both modes."""
-    can = _backward_reachable(model, sat2, sat1 - sat2)
-    x = {q: (1.0 if q in sat2 else 0.0) for q in model.states}
-    undetermined = [q for q in model.states if q in (sat1 - sat2) and q in can]
-    return x, undetermined
-
-
-def _iterate_to_fixpoint(
+def _frame(
     model: Pots,
-    x: dict[str, float],
-    undetermined: list[str],
-    budget: int,
-    mode: str,
+    op: type[PathFormula],
+    sat1: frozenset[str],
+    sat2: frozenset[str],
+    sweeps: int | None = None,
+) -> Frame:
+    """The frame of a core operator, given as its syntax class. Values start
+    at the indicator of ``sat2`` (the body, for next).
+
+    - next: nothing pinned, one sweep;
+    - until: pinned 1 on ``sat2``; undetermined are the states of
+      ``sat1 - sat2`` that reach ``sat2`` through that set in the unpruned
+      graph, starting from below; the rest is pinned 0 (sound in both modes);
+    - release: pinned 1 on ``sat1 & sat2`` and 0 outside ``sat2``;
+      undetermined are ``sat2 - sat1``, starting from above.
+    """
+    start = {q: (1.0 if q in sat2 else 0.0) for q in model.states}
+    if op is Next:
+        return Frame(start, list(model.states), 1)
+    if op in (Until, BoundedUntil):
+        through = sat1 - sat2
+        can = _backward_reachable(model, sat2, through)
+        undetermined = [q for q in model.states if q in through and q in can]
+    elif op in (Release, BoundedRelease):
+        undetermined = [q for q in model.states if q in sat2 and q not in sat1]
+    else:
+        raise TypeError(f"not a core path operator: {op!r}")
+    return Frame(start, undetermined, sweeps)
+
+
+# -- the sweep ------------------------------------------------------------------
+
+Step = Callable[[str, Mapping[str, float]], float]
+
+
+def _optimal_step(model: Pots, budget: int, mode: str) -> Step:
+    """The optimizer's surviving mass (min), or the plain one-step mass
+    (max: the maximizer removes nothing)."""
+    if mode == "min":
+        return lambda q, x: best_removal(model, q, budget, x)[1]
+    return lambda q, x: sum(model.trans(q, r) * x[r] for r in model.succ(q))
+
+
+def _iterate(
+    frame: Frame,
+    sweeps: int | None,
+    step: Step,
     opts: EngineOptions,
     stats: Stats | None,
 ) -> dict[str, float]:
-    for _ in range(opts.max_iterations):
-        delta = 0.0
+    """Jacobi sweeps over the frame's undetermined states, from its start:
+    ``sweeps`` of them or, when ``sweeps`` is None, until no value moves by
+    epsilon or more."""
+    x = frame.start
+    for _ in range(opts.max_iterations if sweeps is None else sweeps):
         nxt = dict(x)
-        for q in undetermined:
-            v = _sweep_value(model, q, budget, x, mode)
+        delta = 0.0
+        for q in frame.undetermined:
+            v = nxt[q] = step(q, x)
             delta = max(delta, abs(v - x[q]))
-            nxt[q] = v
         x = nxt
         if stats is not None:
             stats.iterations += 1
-        if delta < opts.epsilon:
+        if sweeps is None and delta < opts.epsilon:
             return x
-    raise ConvergenceError(
-        f"no convergence within {opts.max_iterations} iterations"
-    )
+    if sweeps is not None:
+        return x
+    raise ConvergenceError(f"no convergence within {opts.max_iterations} iterations")
 
 
-def _evaluate_policy(
-    model: Pots,
-    policy: Mapping[str, Removal],
-    x: dict[str, float],
-    undetermined: list[str],
-    opts: EngineOptions,
-    stats: Stats | None,
-    from_above: bool,
-) -> dict[str, float]:
-    """Power-method solve of the linear system induced by a fixed removal
-    policy: determined states act as identity rows, undetermined rows are
-    the pruned transition rows."""
-    survivors = {}
-    for q in undetermined:
-        gone = set(policy.get(q, ()))
-        survivors[q] = [
-            (r, model.trans(q, r)) for r in model.succ(q) if (q, r) not in gone
-        ]
-    x = dict(x)
-    for q in undetermined:
-        x[q] = 1.0 if from_above else 0.0
-    for _ in range(opts.max_iterations):
-        delta = 0.0
-        nxt = dict(x)
-        for q in undetermined:
-            v = sum(p * x[r] for r, p in survivors[q])
-            delta = max(delta, abs(v - x[q]))
-            nxt[q] = v
-        x = nxt
-        if stats is not None:
-            stats.iterations += 1
-        if delta < opts.epsilon:
-            return x
-    raise ConvergenceError(
-        f"policy evaluation did not converge within {opts.max_iterations} iterations"
-    )
+def _policy_step(model: Pots, policy: Mapping[str, Removal]) -> Step:
+    """Row sums of the chain pruned by a fixed removal policy."""
+    rows = {}
+    for q, removed in policy.items():
+        gone = set(removed)
+        rows[q] = [(r, model.trans(q, r)) for r in model.succ(q) if (q, r) not in gone]
+    return lambda q, x: sum(p * x[r] for r, p in rows[q])
 
 
 _POLICY_ROUNDS = 10_000
 
 
 def _policy_iteration(
-    model: Pots,
-    x0: dict[str, float],
-    undetermined: list[str],
-    budget: int,
-    mode: str,
-    opts: EngineOptions,
-    stats: Stats | None,
-    from_above: bool,
+    model: Pots, frame: Frame, budget: int, opts: EngineOptions, stats: Stats | None
 ) -> dict[str, float]:
-    if mode == "max":
-        return _evaluate_policy(model, {}, x0, undetermined, opts, stats, from_above)
-    policy: dict[str, Removal] = {q: () for q in undetermined}
+    """Minimizing policy iteration; each policy is evaluated by the power
+    method from the frame's start."""
+    policy: dict[str, Removal] = {q: () for q in frame.undetermined}
     for _ in range(_POLICY_ROUNDS):
-        x = _evaluate_policy(model, policy, x0, undetermined, opts, stats, from_above)
+        x = _iterate(frame, None, _policy_step(model, policy), opts, stats)
         # conservative improvement: the inner solve carries up to about an
         # epsilon of residual, so switching on smaller gains just makes
         # near-tied argmins flip forever
         gate = 10 * opts.epsilon
         improved = {}
-        for q in undetermined:
+        for q in frame.undetermined:
             removal, value = best_removal(model, q, budget, x)
             improved[q] = removal if value < x[q] - gate else policy[q]
         if improved == policy:
             return x
         policy = improved
     raise ConvergenceError("policy iteration failed to stabilize")
+
+
+def _optimum(
+    model: Pots,
+    frame: Frame,
+    budget: int,
+    mode: str,
+    opts: EngineOptions = DEFAULT_OPTIONS,
+    stats: Stats | None = None,
+) -> dict[str, float]:
+    # the maximizer removes nothing, so its policy iteration would be the
+    # power method on the unpruned chain: the same sweeps as value iteration
+    if frame.sweeps is None and opts.solver == "pi" and mode == "min":
+        x = _policy_iteration(model, frame, budget, opts, stats)
+    else:
+        step = _optimal_step(model, budget, mode)
+        x = _iterate(frame, frame.sweeps, step, opts, stats)
+    return clamp_vector(x)
+
+
+# -- the five operators -----------------------------------------------------------
+
+
+def prob_next(
+    model: Pots, sat_body: frozenset[str], budget: int, mode: str
+) -> dict[str, float]:
+    return _optimum(model, _frame(model, Next, frozenset(), sat_body), budget, mode)
+
+
+def prob_bounded_until(
+    model: Pots,
+    sat1: frozenset[str],
+    sat2: frozenset[str],
+    bound: int,
+    budget: int,
+    mode: str,
+    stats: Stats | None = None,
+) -> dict[str, float]:
+    frame = _frame(model, BoundedUntil, sat1, sat2, bound)
+    return _optimum(model, frame, budget, mode, DEFAULT_OPTIONS, stats)
 
 
 def prob_until(
@@ -311,35 +278,21 @@ def prob_until(
     opts: EngineOptions = DEFAULT_OPTIONS,
     stats: Stats | None = None,
 ) -> dict[str, float]:
-    """Least fixed point of the bounded-until update, from below."""
-    x, undetermined = _until_frame(model, sat1, sat2)
-    if opts.solver == "pi":
-        x = _policy_iteration(
-            model, x, undetermined, budget, mode, opts, stats, from_above=False
-        )
-    else:
-        x = _iterate_to_fixpoint(model, x, undetermined, budget, mode, opts, stats)
-    return clamp_vector(x)
+    """Least fixed point of the until step, from below."""
+    return _optimum(model, _frame(model, Until, sat1, sat2), budget, mode, opts, stats)
 
 
-# -- unbounded release -------------------------------------------------------------
-
-
-def _release_frame(
-    model: Pots, sat1: frozenset[str], sat2: frozenset[str]
-) -> tuple[dict[str, float], list[str]]:
-    both = sat1 & sat2
-    x = {}
-    undetermined = []
-    for q in model.states:
-        if q in both:
-            x[q] = 1.0
-        elif q not in sat2:
-            x[q] = 0.0
-        else:
-            x[q] = 1.0
-            undetermined.append(q)
-    return x, undetermined
+def prob_bounded_release(
+    model: Pots,
+    sat1: frozenset[str],
+    sat2: frozenset[str],
+    bound: int,
+    budget: int,
+    mode: str,
+    stats: Stats | None = None,
+) -> dict[str, float]:
+    frame = _frame(model, BoundedRelease, sat1, sat2, bound)
+    return _optimum(model, frame, budget, mode, DEFAULT_OPTIONS, stats)
 
 
 def prob_release(
@@ -351,19 +304,34 @@ def prob_release(
     opts: EngineOptions = DEFAULT_OPTIONS,
     stats: Stats | None = None,
 ) -> dict[str, float]:
-    """Greatest fixed point of the bounded-release update, from above,
-    pinned 1 where both operands hold and 0 outside the right operand."""
-    x, undetermined = _release_frame(model, sat1, sat2)
-    if opts.solver == "pi":
-        x = _policy_iteration(
-            model, x, undetermined, budget, mode, opts, stats, from_above=True
-        )
-    else:
-        x = _iterate_to_fixpoint(model, x, undetermined, budget, mode, opts, stats)
-    return clamp_vector(x)
+    """Greatest fixed point of the release step, from above."""
+    return _optimum(model, _frame(model, Release, sat1, sat2), budget, mode, opts, stats)
 
 
-# -- fixed-strategy evaluation -----------------------------------------------------
+def _dispatch_path(
+    model: Pots,
+    theta: PathFormula,
+    sat1: frozenset[str],
+    sat2: frozenset[str],
+    budget: int,
+    mode: str,
+    opts: EngineOptions,
+    stats: Stats | None,
+) -> dict[str, float]:
+    if isinstance(theta, Next):
+        return prob_next(model, sat2, budget, mode)
+    if isinstance(theta, BoundedUntil):
+        return prob_bounded_until(model, sat1, sat2, theta.bound, budget, mode, stats)
+    if isinstance(theta, Until):
+        return prob_until(model, sat1, sat2, budget, mode, opts, stats)
+    if isinstance(theta, BoundedRelease):
+        return prob_bounded_release(model, sat1, sat2, theta.bound, budget, mode, stats)
+    if isinstance(theta, Release):
+        return prob_release(model, sat1, sat2, budget, mode, opts, stats)
+    raise TypeError(f"not a core path formula: {theta!r}")
+
+
+# -- fixed-strategy evaluation and witness synthesis --------------------------------
 
 
 def prob_fixed(
@@ -379,20 +347,7 @@ def prob_fixed(
     (no optimization): the pruned chain's plain probabilities."""
     removed = strategy.all_removed()
     pruned = prune(model, removed) if removed else model
-    if isinstance(theta, Next):
-        return prob_next(pruned, sat2, 0, "max")
-    if isinstance(theta, BoundedUntil):
-        return prob_bounded_until(pruned, sat1, sat2, theta.bound, 0, "max", stats)
-    if isinstance(theta, Until):
-        return prob_until(pruned, sat1, sat2, 0, "max", opts, stats)
-    if isinstance(theta, BoundedRelease):
-        return prob_bounded_release(pruned, sat1, sat2, theta.bound, 0, "max", stats)
-    if isinstance(theta, Release):
-        return prob_release(pruned, sat1, sat2, 0, "max", opts, stats)
-    raise TypeError(f"not a core path formula: {theta!r}")
-
-
-# -- witness synthesis ----------------------------------------------------------------
+    return _dispatch_path(pruned, theta, sat1, sat2, 0, "max", opts, stats)
 
 
 def synthesize(
@@ -405,33 +360,20 @@ def synthesize(
     stats: Stats | None = None,
 ) -> tuple[MemorylessStrategy, dict[str, float]]:
     """Extract a memoryless witness from the argmin removal sets of the
-    converged minimization, then report that witness's own value (its
+    minimization, taken at the converged values (unbounded operators) or
+    at the values one step before the horizon (the first decision taken
+    from the full horizon), then report that witness's own value (its
     fixed-strategy evaluation, which an exact re-run must reproduce)."""
-    if isinstance(theta, Next):
-        indicator = {q: (1.0 if q in sat2 else 0.0) for q in model.states}
-        basis = indicator
-        relevant = list(model.states)
-    elif isinstance(theta, (BoundedUntil, BoundedRelease)):
-        release = isinstance(theta, BoundedRelease)
-        _, basis = _bounded_sweeps(
-            model, sat1, sat2, theta.bound, budget, "min", release, stats, True
-        )
-        relevant = [
-            q
-            for q in model.states
-            if (q in sat2 - sat1 if release else q in sat1 - sat2)
-        ]
-    elif isinstance(theta, Until):
-        basis = prob_until(model, sat1, sat2, budget, "min", opts, stats)
-        relevant = [q for q in model.states if q in sat1 - sat2]
-    elif isinstance(theta, Release):
-        basis = prob_release(model, sat1, sat2, budget, "min", opts, stats)
-        relevant = [q for q in model.states if q in sat2 - sat1]
+    frame = _frame(model, type(theta), sat1, sat2, getattr(theta, "bound", None))
+    if frame.sweeps is None:
+        basis = _dispatch_path(model, theta, sat1, sat2, budget, "min", opts, stats)
     else:
-        raise TypeError(f"not a core path formula: {theta!r}")
-
+        step = _optimal_step(model, budget, "min")
+        basis = _iterate(frame, max(frame.sweeps - 1, 0), step, opts, stats)
+        if frame.sweeps and stats is not None:
+            stats.iterations += 1  # the extraction below is the horizon's last sweep
     removal = {}
-    for q in relevant:
+    for q in frame.undetermined:
         removed, _ = best_removal(model, q, budget, basis)
         if removed:
             removal[q] = frozenset(removed)
@@ -524,17 +466,6 @@ class CheckResult:
     warnings: list[str]
 
 
-def _compare_exact(value: float, cmp: str, threshold: Fraction) -> bool:
-    v = Fraction(value)
-    if cmp == "<":
-        return v < threshold
-    if cmp == "<=":
-        return v <= threshold
-    if cmp == ">":
-        return v > threshold
-    return v >= threshold
-
-
 def path_values(
     model: Pots,
     theta: PathFormula,
@@ -549,31 +480,6 @@ def path_values(
         stats = Stats()
     sat1, sat2 = operand_sets(model, theta, opts, stats)
     return _dispatch_path(model, theta, sat1, sat2, budget, mode, opts, stats)
-
-
-def _dispatch_path(
-    model: Pots,
-    theta: PathFormula,
-    sat1: frozenset[str],
-    sat2: frozenset[str],
-    budget: int,
-    mode: str,
-    opts: EngineOptions,
-    stats: Stats,
-) -> dict[str, float]:
-    if isinstance(theta, Next):
-        return prob_next(model, sat2, budget, mode)
-    if isinstance(theta, BoundedUntil):
-        return prob_bounded_until(model, sat1, sat2, theta.bound, budget, mode, stats)
-    if isinstance(theta, Until):
-        return prob_until(model, sat1, sat2, budget, mode, opts, stats)
-    if isinstance(theta, BoundedRelease):
-        return prob_bounded_release(
-            model, sat1, sat2, theta.bound, budget, mode, stats
-        )
-    if isinstance(theta, Release):
-        return prob_release(model, sat1, sat2, budget, mode, opts, stats)
-    raise TypeError(f"not a core path formula: {theta!r}")
 
 
 def operand_sets(
@@ -622,10 +528,11 @@ def _sat(
 def _decide_query(
     model: Pots, phi: ObstructQuery, opts: EngineOptions, stats: Stats
 ) -> tuple[dict[str, float], frozenset[str]]:
-    values = _query_values(model, phi, opts, stats)
+    sat1, sat2 = operand_sets(model, phi.body, opts, stats)
+    values = _dispatch_path(model, phi.body, sat1, sat2, phi.grade, phi.mode, opts, stats)
     out = set()
     for q, v in values.items():
-        if _compare_exact(v, phi.cmp, phi.threshold):
+        if phi.holds(Fraction(v)):
             out.add(q)
         if abs(v - float(phi.threshold)) < 10 * opts.epsilon:
             message = (
@@ -634,14 +541,6 @@ def _decide_query(
             )
             stats.warnings.append(message)
     return values, frozenset(out)
-
-
-def _query_values(
-    model: Pots, phi: ObstructQuery, opts: EngineOptions, stats: Stats
-) -> dict[str, float]:
-    mode = "min" if phi.cmp in ("<", "<=") else "max"
-    sat1, sat2 = operand_sets(model, phi.body, opts, stats)
-    return _dispatch_path(model, phi.body, sat1, sat2, phi.grade, mode, opts, stats)
 
 
 def sat(
@@ -662,7 +561,7 @@ def check(
     grade = None
     if isinstance(phi, ObstructQuery):
         values, satisfied = _decide_query(model, phi, opts, stats)
-        mode = "min" if phi.cmp in ("<", "<=") else "max"
+        mode = phi.mode
         grade = phi.grade
     else:
         satisfied = _sat(model, phi, opts, stats)

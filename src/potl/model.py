@@ -144,16 +144,6 @@ class Pots:
         return frozenset(out)
 
 
-def pre_of(model: Pots, q: str) -> frozenset[str]:
-    """States with a positive-probability edge into ``q``."""
-    return frozenset(model.pred(q))
-
-
-def post_of(model: Pots, q: str) -> frozenset[str]:
-    """States reachable from ``q`` in one positive-probability step."""
-    return frozenset(model.succ(q))
-
-
 def edges_of(model: Pots, q: str) -> tuple[Edge, ...]:
     """Outgoing edges of ``q`` in the model's state order."""
     return tuple((q, r) for r in model.succ(q))

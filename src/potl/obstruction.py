@@ -98,6 +98,12 @@ def obstruct_pred(model: Pots, budget: int, targets: Iterable[str]) -> frozenset
 # -- budgeted removal ---------------------------------------------------------
 
 
+class CostRangeError(ValueError):
+    """The edge costs at a state span too wide a range for the removal
+    optimizer: the knapsack table would be too large and the state has
+    too many edges to enumerate their subsets."""
+
+
 _DP_CAP = 200_000
 _ENUM_FALLBACK_DEGREE = 20
 
@@ -125,7 +131,7 @@ def _knapsack(
         step = gcd(step, budget) or 1
         if cap // step > _DP_CAP:
             if d > _ENUM_FALLBACK_DEGREE:
-                raise ValueError(
+                raise CostRangeError(
                     "cost range too wide for the removal optimizer "
                     f"(capacity {cap}, degree {d})"
                 )

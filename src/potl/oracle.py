@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import Edge, ModelError, Pots, edges_of, prune
 from .obstruction import MemorylessStrategy
@@ -204,109 +204,44 @@ def _stable_core(pruned: Pots, region: frozenset[str]) -> frozenset[str]:
     return frozenset(core)
 
 
-def exact_next(
-    model: Pots, strategy: MemorylessStrategy, sat_body: frozenset[str]
-) -> dict[str, Fraction]:
-    pruned = _pruned(model, strategy)
-    return {
-        q: sum(
-            (pruned.prob_exact(q, r) for r in pruned.succ(q) if r in sat_body),
-            ZERO,
-        )
-        for q in pruned.states
-    }
+class Frame(NamedTuple):
+    """One core operator's shape over exact values: the states a step
+    updates and the step bound (None for until and release). Values start
+    at the indicator of ``sat2`` (the body, for next); the other states are
+    pinned there."""
+
+    undetermined: Collection[str]
+    sweeps: int | None
 
 
-def exact_bounded_until(
+def _frame(
+    model: Pots, theta: PathFormula, sat1: frozenset[str], sat2: frozenset[str]
+) -> Frame:
+    """Next pins nothing; until pins 1 on ``sat2`` and 0 off ``sat1 | sat2``;
+    release pins 1 on ``sat1 & sat2`` and 0 off ``sat2``."""
+    if isinstance(theta, Next):
+        return Frame(model.states, 1)
+    if isinstance(theta, (Until, BoundedUntil)):
+        return Frame(sat1 - sat2, getattr(theta, "bound", None))
+    if isinstance(theta, (Release, BoundedRelease)):
+        return Frame(sat2 - sat1, getattr(theta, "bound", None))
+    raise TypeError(f"not a core path formula: {theta!r}")
+
+
+def _unroll(
     model: Pots,
-    strategy: MemorylessStrategy,
-    sat1: frozenset[str],
+    frame: Frame,
     sat2: frozenset[str],
-    bound: int,
+    step: Callable[[str, Mapping[str, Fraction]], Fraction],
 ) -> dict[str, Fraction]:
-    pruned = _pruned(model, strategy)
-    x = {q: (ONE if q in sat2 else ZERO) for q in pruned.states}
-    for _ in range(bound):
-        nxt = {}
-        for q in pruned.states:
-            if q in sat2:
-                nxt[q] = ONE
-            elif q not in sat1:
-                nxt[q] = ZERO
-            else:
-                nxt[q] = sum(
-                    (pruned.prob_exact(q, r) * x[r] for r in pruned.succ(q)),
-                    ZERO,
-                )
+    """Backward induction over the frame's step bound."""
+    x = {q: (ONE if q in sat2 else ZERO) for q in model.states}
+    for _ in range(frame.sweeps):
+        nxt = dict(x)
+        for q in frame.undetermined:
+            nxt[q] = step(q, x)
         x = nxt
     return x
-
-
-def exact_until(
-    model: Pots,
-    strategy: MemorylessStrategy,
-    sat1: frozenset[str],
-    sat2: frozenset[str],
-) -> dict[str, Fraction]:
-    pruned = _pruned(model, strategy)
-    through = frozenset(sat1) - frozenset(sat2)
-    return _reach_exact(pruned, through, frozenset(sat2))
-
-
-def exact_bounded_release(
-    model: Pots,
-    strategy: MemorylessStrategy,
-    sat1: frozenset[str],
-    sat2: frozenset[str],
-    bound: int,
-) -> dict[str, Fraction]:
-    pruned = _pruned(model, strategy)
-    both = frozenset(sat1) & frozenset(sat2)
-    x = {q: (ONE if q in sat2 else ZERO) for q in pruned.states}
-    for _ in range(bound):
-        nxt = {}
-        for q in pruned.states:
-            if q not in sat2:
-                nxt[q] = ZERO
-            elif q in both:
-                nxt[q] = ONE
-            else:
-                nxt[q] = sum(
-                    (pruned.prob_exact(q, r) * x[r] for r in pruned.succ(q)),
-                    ZERO,
-                )
-        x = nxt
-    return x
-
-
-def exact_release(
-    model: Pots,
-    strategy: MemorylessStrategy,
-    sat1: frozenset[str],
-    sat2: frozenset[str],
-) -> dict[str, Fraction]:
-    """Release splits into two disjoint events: hitting a state satisfying
-    both operands while staying in the right operand, or staying in the
-    right operand (and off the left one) forever. The second event's mass
-    concentrates on the no-leak core of that region."""
-    pruned = _pruned(model, strategy)
-    sat1, sat2 = frozenset(sat1), frozenset(sat2)
-    both = sat1 & sat2
-    within = sat2 - sat1
-
-    hit = _reach_exact(pruned, within, both)
-    core = _stable_core(pruned, within)
-    forever = _reach_exact(pruned, within, core) if core else None
-
-    values = {}
-    for q in pruned.states:
-        if q in both:
-            values[q] = ONE
-        elif q not in sat2:
-            values[q] = ZERO
-        else:
-            values[q] = hit[q] + (forever[q] if forever else ZERO)
-    return values
 
 
 def exact_prob(
@@ -318,18 +253,34 @@ def exact_prob(
 ) -> dict[str, Fraction]:
     """Exact satisfaction probability of a core path formula under a fixed
     memoryless strategy; operand satisfaction sets are supplied resolved
-    (``sat2`` alone matters for next)."""
-    if isinstance(theta, Next):
-        return exact_next(model, strategy, sat2)
-    if isinstance(theta, BoundedUntil):
-        return exact_bounded_until(model, strategy, sat1, sat2, theta.bound)
+    (``sat2`` alone matters for next). Next and the bounded operators
+    unroll their step bound; until solves for the probability of reaching
+    ``sat2``. Release adds two disjoint events: hitting a state satisfying
+    both operands while staying in the right operand, or staying in the
+    right operand (and off the left one) forever, whose mass concentrates
+    on the no-leak core of that region."""
+    pruned = _pruned(model, strategy)
+    frame = _frame(pruned, theta, sat1, sat2)
+    if frame.sweeps is not None:
+        return _unroll(
+            pruned,
+            frame,
+            sat2,
+            lambda q, x: sum(
+                (pruned.prob_exact(q, r) * x[r] for r in pruned.succ(q) if x[r]),
+                ZERO,
+            ),
+        )
+    within = frame.undetermined
     if isinstance(theta, Until):
-        return exact_until(model, strategy, sat1, sat2)
-    if isinstance(theta, BoundedRelease):
-        return exact_bounded_release(model, strategy, sat1, sat2, theta.bound)
-    if isinstance(theta, Release):
-        return exact_release(model, strategy, sat1, sat2)
-    raise TypeError(f"not a core path formula: {theta!r}")
+        return _reach_exact(pruned, within, sat2)
+    values = _reach_exact(pruned, within, sat1 & sat2)
+    core = _stable_core(pruned, within)
+    if core:
+        forever = _reach_exact(pruned, within, core)
+        for q in within:
+            values[q] += forever[q]
+    return values
 
 
 def exact_bounded_by_paths(
@@ -434,51 +385,26 @@ def step_optimum(
     are enumerated outright rather than optimized."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    frame = _frame(model, theta, sat1, sat2)
+    if frame.sweeps is None:
+        raise TypeError(f"step_optimum handles next and bounded operators: {theta!r}")
     pick = min if mode == "min" else max
-    options = {q: removal_options(model, q, budget) for q in model.states}
-
-    def step(q: str, x: Mapping[str, Fraction]) -> Fraction:
-        candidates = []
-        for removed in options[q]:
+    rows = {}  # per state, the surviving (successor, probability) row of each option
+    for q in frame.undetermined:
+        rows[q] = []
+        for removed in removal_options(model, q, budget):
             gone = set(removed)
-            candidates.append(
-                sum(
-                    (
-                        model.prob_exact(q, r) * x[r]
-                        for r in model.succ(q)
-                        if (q, r) not in gone
-                    ),
-                    ZERO,
-                )
+            rows[q].append(
+                [(r, model.prob_exact(q, r)) for r in model.succ(q) if (q, r) not in gone]
             )
-        return pick(candidates)
-
-    if isinstance(theta, Next):
-        indicator = {q: (ONE if q in sat2 else ZERO) for q in model.states}
-        return {q: step(q, indicator) for q in model.states}
-
-    if isinstance(theta, BoundedUntil):
-        x = {q: (ONE if q in sat2 else ZERO) for q in model.states}
-        for _ in range(theta.bound):
-            x = {
-                q: ONE
-                if q in sat2
-                else (step(q, x) if q in sat1 else ZERO)
-                for q in model.states
-            }
-        return x
-
-    if isinstance(theta, BoundedRelease):
-        both = sat1 & sat2
-        x = {q: (ONE if q in sat2 else ZERO) for q in model.states}
-        for _ in range(theta.bound):
-            x = {
-                q: (ONE if q in both else (step(q, x) if q in sat2 else ZERO))
-                for q in model.states
-            }
-        return x
-
-    raise TypeError(f"step_optimum handles next and bounded operators: {theta!r}")
+    return _unroll(
+        model,
+        frame,
+        sat2,
+        lambda q, x: pick(
+            sum((p * x[r] for r, p in row if x[r]), ZERO) for row in rows[q]
+        ),
+    )
 
 
 # -- formula-level exact satisfaction -------------------------------------------
@@ -511,29 +437,17 @@ def oracle_sat(
         return (frozenset(model.states) - left) | right
     if isinstance(phi, ObstructQuery):
         values = oracle_query_values(model, phi, limit)
-        return frozenset(q for q, v in values.items() if _compare(v, phi.cmp, phi.threshold))
+        return frozenset(q for q, v in values.items() if phi.holds(v))
     raise TypeError(f"not a desugared state formula: {phi!r}")
 
 
-def oracle_query_values(
-    model: Pots, phi: ObstructQuery, limit: int = DEFAULT_LIMIT
-) -> dict[str, Fraction]:
-    """The per-state optimum the query's comparison is decided against."""
-    sat1, sat2 = _operand_sets(model, phi.body, limit)
-    mode = "min" if phi.cmp in ("<", "<=") else "max"
-    if isinstance(phi.body, (Next, BoundedUntil, BoundedRelease)):
-        return step_optimum(model, phi.body, sat1, sat2, phi.grade, mode)
-    return dict(
-        oracle_optimum(model, phi.body, sat1, sat2, phi.grade, mode, limit).values
-    )
-
-
-def _operand_sets(
-    model: Pots, theta: PathFormula, limit: int
+def operand_sets(
+    model: Pots, theta: PathFormula, limit: int = DEFAULT_LIMIT
 ) -> tuple[frozenset[str], frozenset[str]]:
+    """Exact satisfaction sets of a core path formula's operands (``sat2``
+    alone for next)."""
     if isinstance(theta, Next):
-        body = oracle_sat(model, theta.body, limit)
-        return frozenset(), body
+        return frozenset(), oracle_sat(model, theta.body, limit)
     if isinstance(theta, (Until, BoundedUntil, Release, BoundedRelease)):
         return (
             oracle_sat(model, theta.left, limit),
@@ -542,26 +456,28 @@ def _operand_sets(
     raise TypeError(f"not a core path formula: {theta!r}")
 
 
-def _compare(value: Fraction, cmp: str, threshold: Fraction) -> bool:
-    if cmp == "<":
-        return value < threshold
-    if cmp == "<=":
-        return value <= threshold
-    if cmp == ">":
-        return value > threshold
-    return value >= threshold
-
-
-def evaluate_strategy(
+def _optimum_values(
     model: Pots,
-    strategy: MemorylessStrategy,
     theta: PathFormula,
-    limit: int = DEFAULT_LIMIT,
+    sat1: frozenset[str],
+    sat2: frozenset[str],
+    budget: int,
+    mode: str,
+    limit: int,
 ) -> dict[str, Fraction]:
-    """Exact value of a path formula under a fixed strategy, resolving the
-    operand sets exactly first."""
-    sat1, sat2 = _operand_sets(model, theta, limit)
-    return exact_prob(model, strategy, theta, sat1, sat2)
+    """The optimum a query is decided against: the memoryless optimum for
+    until and release, the step-wise optimum otherwise."""
+    if isinstance(theta, (Until, Release)):
+        return dict(oracle_optimum(model, theta, sat1, sat2, budget, mode, limit).values)
+    return step_optimum(model, theta, sat1, sat2, budget, mode)
+
+
+def oracle_query_values(
+    model: Pots, phi: ObstructQuery, limit: int = DEFAULT_LIMIT
+) -> dict[str, Fraction]:
+    """The per-state optimum the query's comparison is decided against."""
+    sat1, sat2 = operand_sets(model, phi.body, limit)
+    return _optimum_values(model, phi.body, sat1, sat2, phi.grade, phi.mode, limit)
 
 
 def qualitative_sets(
@@ -574,12 +490,7 @@ def qualitative_sets(
     limit: int = DEFAULT_LIMIT,
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Exact zero and one sets of the optimum, for conformance reports."""
-    if isinstance(theta, (Next, BoundedUntil, BoundedRelease)):
-        values = step_optimum(model, theta, sat1, sat2, budget, mode)
-    else:
-        values = dict(
-            oracle_optimum(model, theta, sat1, sat2, budget, mode, limit).values
-        )
+    values = _optimum_values(model, theta, sat1, sat2, budget, mode, limit)
     zero = frozenset(q for q, v in values.items() if v == 0)
     one = frozenset(q for q, v in values.items() if v == 1)
     return zero, one

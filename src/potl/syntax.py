@@ -8,6 +8,7 @@ Thresholds are exact rationals; no parse-time rounding.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,6 +89,19 @@ class ObstructQuery(StateFormula):
             raise ValueError(f"bad comparison {self.cmp!r}")
         if not (0 <= self.threshold <= 1):
             raise ValueError("threshold must lie in [0, 1]")
+
+    @property
+    def mode(self) -> str:
+        """The obstructor the query is decided against: the minimizer for
+        ``<``/``<=``, the maximizer for ``>``/``>=``."""
+        return "min" if self.cmp in ("<", "<=") else "max"
+
+    def holds(self, value: Fraction) -> bool:
+        """Whether an exact probability satisfies the comparison."""
+        return _COMPARISONS[self.cmp](value, self.threshold)
+
+
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)

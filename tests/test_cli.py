@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from potl.cli import main
 from potl.model import load_model
 from potl.obstruction import load_strategy, validate_strategy
@@ -75,10 +77,60 @@ class TestCheck:
     def test_non_convergence_exits_four(self, capsys, chain_path):
         code, _, err = run(
             capsys, "check", "--model", chain_path,
-            "--formula", "<<0 < 0.5>> F goal", "--max-iterations", "0",
+            "--formula", "<<0 < 0.5>> F goal", "--max-iterations", "1",
         )
         assert code == 4
         assert "convergence" in err or "iterations" in err
+
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--epsilon", "0", "epsilon"),
+            ("--epsilon", "-1", "epsilon"),
+            ("--epsilon", "nan", "epsilon"),
+            ("--epsilon", "inf", "epsilon"),
+            ("--max-iterations", "0", "max_iterations"),
+            ("--max-iterations", "-5", "max_iterations"),
+        ],
+    )
+    def test_bad_engine_flag_exits_two(self, capsys, chain_path, flag, value, name):
+        code, out, err = run(
+            capsys, "check", "--model", chain_path,
+            "--formula", "<<0 < 0.5>> F goal", flag, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert name in err
+
+    def test_cost_range_too_wide_exits_two(self, capsys, tmp_path):
+        # 22 edges with odd costs near 10^5: the knapsack table is too large
+        # and the state has too many edges to enumerate its removal sets
+        targets = [f"t{i}" for i in range(22)]
+        edges = [
+            {"from": "s", "to": t, "prob": "0.16" if i == 0 else "0.04", "cost": 100003 + 2 * i}
+            for i, t in enumerate(targets)
+        ]
+        edges += [{"from": t, "to": t, "prob": "1", "cost": 0} for t in targets]
+        model = tmp_path / "wide.json"
+        model.write_text(json.dumps(
+            {"states": ["s", *targets], "initial": "s", "labels": {"t0": ["goal"]}, "edges": edges}
+        ))
+        code, out, err = run(
+            capsys, "check", "--model", str(model), "--formula", "<<3000000 < 0.5>> X goal"
+        )
+        assert code == 2
+        assert out == ""
+        assert "cost range too wide" in err
+
+
+class TestNegativeGrade:
+    @pytest.mark.parametrize("command", ["prob", "synthesize", "oracle", "conformance"])
+    def test_rejected_with_exit_two(self, capsys, chain_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", chain_path, "--path", "F goal", "--grade", "-1"])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
 
 
 class TestProb:

@@ -14,8 +14,6 @@ from potl.model import (
     edges_of,
     fraction_to_decimal,
     loads_model,
-    post_of,
-    pre_of,
     prune,
     validate,
 )
@@ -73,12 +71,12 @@ class TestValidate:
 class TestAdjacency:
     def test_chain_pre_and_post(self):
         m = abc_chain()
-        assert pre_of(m, "b") == {"a"}
-        assert post_of(m, "b") == {"c"}
+        assert set(m.pred("b")) == {"a"}
+        assert set(m.succ("b")) == {"c"}
 
     def test_self_loop_is_its_own_neighbourhood(self):
         m = Pots.build(["s"], "s", [("s", "s", 1, 0)])
-        assert pre_of(m, "s") == post_of(m, "s") == {"s"}
+        assert set(m.pred("s")) == set(m.succ("s")) == {"s"}
 
     def test_edges_follow_state_order(self):
         m = Pots.build(
@@ -90,10 +88,10 @@ class TestAdjacency:
 
     def test_unknown_state_rejected(self):
         with pytest.raises(ModelError):
-            pre_of(two_state(), "nope")
+            two_state().pred("nope")
 
     def test_attack_graph_successors(self, attack_graph):
-        assert {"S2", "S3"} <= post_of(attack_graph, "S1")
+        assert {"S2", "S3"} <= set(attack_graph.succ("S1"))
 
 
 class TestPrune:
