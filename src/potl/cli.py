@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (and, for check, initial state satisfied); 1 check
 ran but the initial state does not satisfy; 2 usage or formula errors,
-including a negative grade, an epsilon that is not finite and positive, a
-maximum iteration count below 1, and edge costs too wide for the removal
-optimizer; 3 invalid model; 4 no convergence; 5 oracle enumeration too
-large.
+including a negative grade, an enumeration limit below 1, an epsilon that
+is not finite and positive, a maximum iteration count below 1, edge costs
+too wide for the removal optimizer, and a strategy file that cannot be
+written; 3 invalid model; 4 no convergence, or a step bound above the
+maximum iteration count; 5 oracle enumeration too large.
 """
 
 from __future__ import annotations
@@ -228,7 +229,10 @@ def _cmd_synthesize(args) -> int:
     except ConvergenceError as exc:
         raise _CliError(str(exc), EXIT_NO_CONVERGENCE)
     if args.output:
-        save_strategy(strategy, args.output)
+        try:
+            save_strategy(strategy, args.output)
+        except OSError as exc:
+            raise _CliError(f"cannot write strategy: {exc}", EXIT_USAGE)
     payload = {
         "formula": print_path(theta),
         "grade": args.grade,
@@ -399,6 +403,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_engine_flags(sub) -> None:
     sub.add_argument("--epsilon", type=float, default=1e-10)
     sub.add_argument("--max-iterations", type=int, default=10**6)
@@ -456,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--grade", type=non_negative_int, default=0)
     orc.add_argument("--mode", choices=["min", "max"], default="min")
     orc.add_argument("--strategy")
-    orc.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT)
+    orc.add_argument("--limit", type=positive_int, default=oracle.DEFAULT_LIMIT)
     orc.add_argument("--json", action="store_true")
     orc.set_defaults(func=_cmd_oracle)
 
@@ -466,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     conf.add_argument("--model", required=True)
     conf.add_argument("--path", required=True)
     conf.add_argument("--grade", type=non_negative_int, required=True)
-    conf.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT)
+    conf.add_argument("--limit", type=positive_int, default=oracle.DEFAULT_LIMIT)
     conf.add_argument("--json", action="store_true")
     conf.set_defaults(func=_cmd_conformance)
 

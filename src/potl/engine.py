@@ -177,7 +177,11 @@ def _iterate(
 ) -> dict[str, float]:
     """Jacobi sweeps over the frame's undetermined states, from its start:
     ``sweeps`` of them or, when ``sweeps`` is None, until no value moves by
-    epsilon or more."""
+    epsilon or more. Either way at most ``opts.max_iterations`` sweeps run."""
+    if sweeps is not None and sweeps > opts.max_iterations:
+        raise ConvergenceError(
+            f"step bound {sweeps} exceeds the limit of {opts.max_iterations} iterations"
+        )
     x = frame.start
     for _ in range(opts.max_iterations if sweeps is None else sweeps):
         nxt = dict(x)
@@ -263,10 +267,11 @@ def prob_bounded_until(
     bound: int,
     budget: int,
     mode: str,
+    opts: EngineOptions = DEFAULT_OPTIONS,
     stats: Stats | None = None,
 ) -> dict[str, float]:
     frame = _frame(model, BoundedUntil, sat1, sat2, bound)
-    return _optimum(model, frame, budget, mode, DEFAULT_OPTIONS, stats)
+    return _optimum(model, frame, budget, mode, opts, stats)
 
 
 def prob_until(
@@ -289,10 +294,11 @@ def prob_bounded_release(
     bound: int,
     budget: int,
     mode: str,
+    opts: EngineOptions = DEFAULT_OPTIONS,
     stats: Stats | None = None,
 ) -> dict[str, float]:
     frame = _frame(model, BoundedRelease, sat1, sat2, bound)
-    return _optimum(model, frame, budget, mode, DEFAULT_OPTIONS, stats)
+    return _optimum(model, frame, budget, mode, opts, stats)
 
 
 def prob_release(
@@ -321,11 +327,11 @@ def _dispatch_path(
     if isinstance(theta, Next):
         return prob_next(model, sat2, budget, mode)
     if isinstance(theta, BoundedUntil):
-        return prob_bounded_until(model, sat1, sat2, theta.bound, budget, mode, stats)
+        return prob_bounded_until(model, sat1, sat2, theta.bound, budget, mode, opts, stats)
     if isinstance(theta, Until):
         return prob_until(model, sat1, sat2, budget, mode, opts, stats)
     if isinstance(theta, BoundedRelease):
-        return prob_bounded_release(model, sat1, sat2, theta.bound, budget, mode, stats)
+        return prob_bounded_release(model, sat1, sat2, theta.bound, budget, mode, opts, stats)
     if isinstance(theta, Release):
         return prob_release(model, sat1, sat2, budget, mode, opts, stats)
     raise TypeError(f"not a core path formula: {theta!r}")

@@ -3,8 +3,9 @@ with a non-negative integer removal cost on every edge.
 
 Probabilities are kept twice: as exact rationals (parsed from the decimal
 strings of the model file, used by the exact oracle) and as 64-bit floats
-(the engine path). Costs live only on existing edges; absent pairs cost 0
-and are never removal candidates.
+(the engine path). Each state's :class:`Row` also holds its floats as exact
+integer ratios, for the removal optimizer. Costs live only on existing
+edges; absent pairs cost 0 and are never removal candidates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 MAX_COST = 2**32 - 1
 ROW_SUM_TOL = Fraction(1, 10**9)
@@ -23,6 +24,21 @@ Edge = tuple[str, str]
 
 class ModelError(ValueError):
     """Raised for malformed model files and illegal model queries."""
+
+
+class Row(NamedTuple):
+    """The outgoing edges of one state in the model's state order, with what
+    the removal optimizer reads of each: the successor, the removal cost, and
+    the float probability as an exact integer ratio (numerator, denominator);
+    the denominator is a power of two."""
+
+    edges: tuple[Edge, ...]
+    succ: tuple[str, ...]
+    costs: tuple[int, ...]
+    ratios: tuple[tuple[int, int], ...]
+
+
+_EMPTY_ROW = Row((), (), (), ())
 
 
 @dataclass(frozen=True)
@@ -42,7 +58,7 @@ class Pots:
     cost: Mapping[Edge, int]
 
     _index: dict = field(init=False, repr=False, compare=False)
-    _succ: dict = field(init=False, repr=False, compare=False)
+    _rows: dict = field(init=False, repr=False, compare=False)
     _pred: dict = field(init=False, repr=False, compare=False)
     _trans_float: dict = field(init=False, repr=False, compare=False)
 
@@ -50,22 +66,32 @@ class Pots:
         index = {q: i for i, q in enumerate(self.states)}
         if len(index) != len(self.states):
             raise ModelError("duplicate state identifiers")
-        succ: dict[str, list[str]] = {q: [] for q in self.states}
+        outgoing: dict[str, list] = {q: [] for q in self.states}
         pred: dict[str, list[str]] = {q: [] for q in self.states}
-        for (q, r) in self.prob:
+        trans_float = {}
+        cost = self.cost
+        for e, p in self.prob.items():
+            q, r = e
             if q not in index or r not in index:
                 raise ModelError(f"edge ({q!r}, {r!r}) references unknown state")
-            succ[q].append(r)
+            # int true division rounds correctly, as float(p) does, but faster
+            f = trans_float[e] = p.numerator / p.denominator
+            outgoing[q].append((index[r], e, r, cost.get(e, 0), f.as_integer_ratio()))
             pred[r].append(q)
+        rows = {}
         for q in self.states:
-            succ[q].sort(key=index.__getitem__)
+            entries = outgoing[q]
+            if entries:
+                entries.sort()
+                _, edges, targets, costs, ratios = zip(*entries)
+                rows[q] = Row(edges, targets, costs, ratios)
+            else:
+                rows[q] = _EMPTY_ROW
             pred[q].sort(key=index.__getitem__)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_succ", {q: tuple(v) for q, v in succ.items()})
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_pred", {q: tuple(v) for q, v in pred.items()})
-        object.__setattr__(
-            self, "_trans_float", {e: float(p) for e, p in self.prob.items()}
-        )
+        object.__setattr__(self, "_trans_float", trans_float)
 
     @classmethod
     def build(
@@ -116,7 +142,13 @@ class Pots:
 
     def succ(self, q: str) -> tuple[str, ...]:
         self._check_state(q)
-        return self._succ[q]
+        return self._rows[q].succ
+
+    def row(self, q: str) -> Row:
+        """The outgoing edges of ``q`` with their costs and exact float
+        probabilities; built once, with the model."""
+        self._check_state(q)
+        return self._rows[q]
 
     def pred(self, q: str) -> tuple[str, ...]:
         self._check_state(q)
@@ -146,7 +178,7 @@ class Pots:
 
 def edges_of(model: Pots, q: str) -> tuple[Edge, ...]:
     """Outgoing edges of ``q`` in the model's state order."""
-    return tuple((q, r) for r in model.succ(q))
+    return model.row(q).edges
 
 
 def validate(model: Pots) -> list[str]:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .model import Edge, ModelError, Pots, edges_of
 
@@ -107,12 +106,10 @@ class CostRangeError(ValueError):
 _DP_CAP = 200_000
 _ENUM_FALLBACK_DEGREE = 20
 
-_ZERO = Fraction(0)
-
 
 def _knapsack(
-    weights: list[Fraction], costs: list[int], budget: int
-) -> tuple[Fraction, tuple[int, ...]]:
+    weights: list[int], costs: Sequence[int], budget: int
+) -> tuple[int, tuple[int, ...]]:
     """0/1 knapsack maximizing removed weight within the budget; among
     optima the lexicographically smallest index set wins.
 
@@ -141,18 +138,14 @@ def _knapsack(
         budget = cap
 
     # table[j][b]: best removable weight from items j.. with budget b
-    table = [[_ZERO] * (cap + 1) for _ in range(d + 1)]
+    table = [[]] * d + [[0] * (cap + 1)]
     for j in range(d - 1, -1, -1):
         w, c = weights[j], costs[j]
         nxt = table[j + 1]
-        row = table[j]
-        for b in range(cap + 1):
-            best = nxt[b]
-            if c <= b:
-                cand = w + nxt[b - c]
-                if cand > best:
-                    best = cand
-            row[b] = best
+        table[j] = nxt[:c] + [
+            keep if keep >= w + take else w + take
+            for keep, take in zip(nxt[c:], nxt)
+        ]
 
     optimum = table[0][cap]
     chosen: list[int] = []
@@ -171,11 +164,11 @@ def _knapsack(
 
 
 def _knapsack_enumerate(
-    weights: list[Fraction], costs: list[int], budget: int
-) -> tuple[Fraction, tuple[int, ...]]:
-    best: tuple[Fraction, tuple[int, ...]] | None = None
+    weights: list[int], costs: Sequence[int], budget: int
+) -> tuple[int, tuple[int, ...]]:
+    best: tuple[int, tuple[int, ...]] | None = None
 
-    def walk(i: int, weight: Fraction, cost: int, picked: tuple[int, ...]) -> None:
+    def walk(i: int, weight: int, cost: int, picked: tuple[int, ...]) -> None:
         nonlocal best
         if (
             best is None
@@ -187,7 +180,7 @@ def _knapsack_enumerate(
             if cost + costs[f] <= budget:
                 walk(f + 1, weight + weights[f], cost + costs[f], picked + (f,))
 
-    walk(0, _ZERO, 0, ())
+    walk(0, 0, 0, ())
     assert best is not None
     return best
 
@@ -203,32 +196,42 @@ def best_removal(
 
     Ties break to the lexicographically smallest set under the model's edge
     order. The empty set is always feasible, so this never fails on a
-    serial model. Comparisons run over exact rationals internally; the
-    returned surviving value is a float.
+    serial model. Comparisons are exact: each weight, a float probability
+    times a float value, is a dyadic rational, held as an integer over one
+    power-of-two denominator shared by the row. The surviving value is
+    rounded to a float once, correctly.
     """
-    edges = edges_of(model, q)
-    costs = [model.cost_of(*e) for e in edges]
-    weights = [
-        Fraction(model.trans(*e)) * Fraction(value[e[1]]) for e in edges
-    ]
-    total = sum(weights, _ZERO)
-    if not edges or min(costs) > budget:
-        return (), float(total)
+    row = model.row(q)
+    costs = row.costs
+    # weight i is nums[i] / dens[i], every denominator a power of two;
+    # scaled onto the largest of them, the weights are integers
+    nums = []
+    dens = []
+    for r, (pn, pd) in zip(row.succ, row.ratios):
+        vn, vd = value[r].as_integer_ratio()
+        nums.append(pn * vn)
+        dens.append(pd * vd)
+    den = max(dens, default=1)
+    weights = [n * (den // d) for n, d in zip(nums, dens)]
+    total = sum(weights)
+    if len(costs) < 2 or min(costs) > budget:
+        # a lone edge must stay (strictness); otherwise nothing is affordable
+        return (), total / den
 
     removed_w, chosen = _knapsack(weights, costs, budget)
-    if len(chosen) == len(edges) and edges:
+    if len(chosen) == len(costs):
         # removing everything is not allowed: redo with each edge pinned kept
-        best: tuple[Fraction, tuple[int, ...]] | None = None
-        for keep in range(len(edges)):
-            idx = [i for i in range(len(edges)) if i != keep]
+        best: tuple[int, tuple[int, ...]] | None = None
+        for keep in range(len(costs)):
+            idx = [i for i in range(len(costs)) if i != keep]
             w, t = _knapsack([weights[i] for i in idx], [costs[i] for i in idx], budget)
             t_orig = tuple(idx[i] for i in t)
             cand = (w, t_orig)
             if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
                 best = cand
         removed_w, chosen = best  # type: ignore[misc]
-    removal = tuple(edges[i] for i in chosen)
-    return removal, float(total - removed_w)
+    removal = tuple(row.edges[i] for i in chosen)
+    return removal, (total - removed_w) / den
 
 
 # -- strategy file format -----------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -82,6 +83,16 @@ class TestCheck:
         assert code == 4
         assert "convergence" in err or "iterations" in err
 
+    def test_step_bound_above_max_iterations_exits_four(self, capsys, chain_path):
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "check", "--model", chain_path,
+            "--formula", "<<1 < 0.5>> F<=100000000 goal", "--max-iterations", "5",
+        )
+        assert time.perf_counter() - started < 5
+        assert code == 4
+        assert out == ""
+        assert "100000000" in err
 
     @pytest.mark.parametrize(
         "flag, value, name",
@@ -133,6 +144,19 @@ class TestNegativeGrade:
         assert "non-negative" in capsys.readouterr().err
 
 
+class TestEnumerationLimit:
+    @pytest.mark.parametrize("command", ["oracle", "conformance"])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_non_positive_rejected_with_exit_two(self, capsys, chain_path, command, limit):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                command, "--model", chain_path, "--path", "F goal",
+                "--grade", "1", "--limit", limit,
+            ])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+
 class TestProb:
     def test_chain_min_probabilities(self, capsys, chain_path):
         code, payload, _ = run_json(
@@ -178,6 +202,17 @@ class TestSynthesize:
         )
         assert code == 0
         assert replay["probabilities"] == payload["probabilities"]
+
+    def test_unwritable_output_exits_two(self, capsys, chain_path, tmp_path):
+        target = tmp_path / "missing" / "s.json"
+        code, out, err = run(
+            capsys, "synthesize", "--model", chain_path,
+            "--path", "F goal", "--grade", "1", "-o", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot write strategy" in err
+        assert not target.exists()
 
     def test_max_mode_rejected(self, capsys, chain_path):
         code, _, _ = run(

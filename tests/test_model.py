@@ -86,9 +86,25 @@ class TestAdjacency:
         )
         assert edges_of(m, "q") == (("q", "z"), ("q", "a"))
 
+    def test_row_holds_edges_costs_and_exact_float_ratios(self):
+        m = Pots.build(
+            ["q", "z", "a"],
+            "q",
+            [("q", "a", Fraction(1, 3), 4), ("q", "z", Fraction(2, 3), 1), ("z", "z", 1, 0), ("a", "a", 1, 0)],
+        )
+        row = m.row("q")
+        assert row.edges == edges_of(m, "q") == (("q", "z"), ("q", "a"))
+        assert row.succ == m.succ("q") == ("z", "a")
+        assert row.costs == (1, 4)
+        for r, (num, den) in zip(row.succ, row.ratios):
+            assert den & (den - 1) == 0
+            assert Fraction(num, den) == Fraction(m.trans("q", r))
+
     def test_unknown_state_rejected(self):
         with pytest.raises(ModelError):
             two_state().pred("nope")
+        with pytest.raises(ModelError):
+            two_state().row("nope")
 
     def test_attack_graph_successors(self, attack_graph):
         assert {"S2", "S3"} <= set(attack_graph.succ("S1"))

@@ -39,6 +39,11 @@ def star(costs_values):
     return m, values
 
 
+# successor values at the edges of the float range: zero, the smallest
+# subnormal, a tiny normal and the float just above one
+EDGE_VALUES = [0.0, 5e-324, 1e-300, 1.0000000000000002]
+
+
 def enumerate_best(model, q, budget, value):
     """Reference optimum: every strict subset, exact arithmetic, ties to
     the lexicographically smallest index tuple."""
@@ -176,7 +181,11 @@ class TestBestRemoval:
         rng = random.Random(seed)
         degree = rng.randint(1, 8)
         profile = [
-            (rng.randint(0, 5), rng.random() if rng.random() < 0.9 else 0.0, rng.randint(1, 9))
+            (
+                rng.randint(0, 5),
+                rng.random() if rng.random() < 0.8 else rng.choice(EDGE_VALUES),
+                rng.randint(1, 9),
+            )
             for _ in range(degree)
         ]
         m, values = star(profile)
@@ -184,7 +193,46 @@ class TestBestRemoval:
         removal, surviving = best_removal(m, "hub", budget, values)
         expected_removal, expected_surviving = enumerate_best(m, "hub", budget, values)
         assert removal == expected_removal
-        assert Fraction(surviving) == Fraction(float(expected_surviving))
+        assert surviving == float(expected_surviving)
+
+    @pytest.mark.parametrize(
+        "profile, budget",
+        [
+            # weights [5/7, 0, 0], everything affordable: the smallest
+            # optimum removes the heavy edge alone
+            ([(1, 1.0, 5), (1, 0.0, 1), (1, 0.0, 1)], 3),
+            # every edge affordable, so the strictness retry decides; in
+            # the second row two lightest edges tie and keeping the later
+            # one gives the smaller removal set
+            ([(1, 0.25, 1), (1, 0.75, 2), (1, 0.5, 3)], 3),
+            ([(0, 1.0, 1), (0, 1.0, 1), (0, 1.0, 5)], 0),
+            ([(0, v, 1) for v in EDGE_VALUES], 0),
+            ([(1, v, 1) for v in EDGE_VALUES], 2),
+            ([(1, v, 1) for v in reversed(EDGE_VALUES)], 4),
+            ([(0, 5e-324, 3), (0, 5e-324, 1)], 0),
+            ([(2, 1e-300, 7), (1, 1.0000000000000002, 2), (1, 0.1, 5)], 2),
+        ],
+        ids=[
+            "zero-weight-tie",
+            "strictness-retry",
+            "strictness-retry-tie",
+            "edge-values-free",
+            "edge-values-priced",
+            "edge-values-reversed",
+            "subnormal-pair",
+            "mixed-scales",
+        ],
+    )
+    def test_exact_on_fixed_rows(self, profile, budget):
+        m, values = star(profile)
+        removal, surviving = best_removal(m, "hub", budget, values)
+        expected_removal, expected_surviving = enumerate_best(m, "hub", budget, values)
+        assert removal == expected_removal
+        assert surviving == float(expected_surviving)
+
+    def test_zero_weight_tie_removes_heavy_edge_alone(self):
+        m, values = star([(0, 1.0, 5), (0, 0.0, 1), (0, 0.0, 1)])
+        assert best_removal(m, "hub", 0, values) == ((("hub", "t0"),), 0.0)
 
     def test_huge_divisible_costs_scale_by_gcd(self):
         big = 2**31
