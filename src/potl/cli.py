@@ -81,7 +81,7 @@ def _load_valid_model(path: str) -> Pots:
 
 
 def _read_formula(args) -> StateFormula:
-    if getattr(args, "formula_file", None):
+    if getattr(args, "formula_file", None) is not None:
         try:
             with open(args.formula_file, "r", encoding="utf-8") as handle:
                 text = handle.read().strip()
@@ -274,7 +274,7 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     model = _load_valid_model(args.model)
     try:
-        if args.formula:
+        if args.formula is not None:
             phi = _read_formula(args)
             satisfied = oracle.oracle_sat(model, phi, args.limit)
             payload = {

@@ -10,11 +10,12 @@ for desk-scale models; the enumeration refuses to run past a limit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
-from .model import Edge, ModelError, Pots, edges_of, prune
+from .model import Edge, ModelError, Pots, prune
 from .obstruction import MemorylessStrategy
 from .syntax import (
     And,
@@ -76,20 +77,39 @@ def cylinder_measure(model: Pots, prefix: Sequence[str]) -> Fraction:
 def removal_options(model: Pots, q: str, budget: int) -> list[tuple[Edge, ...]]:
     """All strict removal subsets at ``q`` within the budget, empty set
     first, then by size and edge order."""
-    edges = edges_of(model, q)
+    row = model.row(q)
     options = []
-    for size in range(len(edges)):  # strict: never all of them
-        for combo in itertools.combinations(range(len(edges)), size):
-            if sum(model.cost_of(*edges[i]) for i in combo) <= budget:
-                options.append(tuple(edges[i] for i in combo))
+    for size in range(len(row.edges)):  # strict: never all of them
+        for combo in itertools.combinations(range(len(row.edges)), size):
+            if sum(row.costs[i] for i in combo) <= budget:
+                options.append(tuple(row.edges[i] for i in combo))
     return options
 
 
+def _per_state_options(
+    model: Pots, budget: int, limit: float = math.inf
+) -> tuple[list[list[tuple[Edge, ...]]], int]:
+    """Each state's removal options in state order, and the number of
+    strategies they combine into; raises :class:`EnumerationLimit` when
+    that number exceeds ``limit``."""
+    per_state = [removal_options(model, q, budget) for q in model.states]
+    count = math.prod(map(len, per_state))
+    if count > limit:
+        raise EnumerationLimit(count, limit)
+    return per_state, count
+
+
 def count_strategies(model: Pots, budget: int) -> int:
-    count = 1
-    for q in model.states:
-        count *= len(removal_options(model, q, budget))
-    return count
+    return _per_state_options(model, budget)[1]
+
+
+def _strategy(
+    model: Pots, budget: int, assignment: Sequence[tuple[Edge, ...]]
+) -> MemorylessStrategy:
+    removal = {
+        q: frozenset(removed) for q, removed in zip(model.states, assignment) if removed
+    }
+    return MemorylessStrategy(grade=budget, removal=removal)
 
 
 def enumerate_strategies(
@@ -98,22 +118,32 @@ def enumerate_strategies(
     """Every memoryless strategy of the given grade, as the cartesian
     product of per-state removal options. Raises :class:`EnumerationLimit`
     up front when the product is too large."""
-    per_state = [removal_options(model, q, budget) for q in model.states]
-    count = 1
-    for options in per_state:
-        count *= len(options)
-    if count > limit:
-        raise EnumerationLimit(count, limit)
+    per_state, _ = _per_state_options(model, budget, limit)
     for assignment in itertools.product(*per_state):
-        removal = {
-            q: frozenset(removed)
-            for q, removed in zip(model.states, assignment)
-            if removed
-        }
-        yield MemorylessStrategy(grade=budget, removal=removal)
+        yield _strategy(model, budget, assignment)
 
 
 # -- exact fixed-strategy probabilities ----------------------------------------
+
+# A state's surviving row under some removal: (successor, exact probability)
+# pairs in the model's state order. A strategy's chain is one row per state;
+# no pruned model is built.
+Survivors = tuple[tuple[str, Fraction], ...]
+
+
+def _survivors(model: Pots, q: str, removed: Collection[Edge]) -> Survivors:
+    row = model.row(q)
+    return tuple(
+        (r, model.prob[e]) for e, r in zip(row.edges, row.succ) if e not in removed
+    )
+
+
+def _strategy_rows(model: Pots, strategy: MemorylessStrategy) -> dict[str, Survivors]:
+    removed = strategy.all_removed()
+    for e in removed:
+        if e not in model.prob:
+            raise ModelError(f"cannot remove non-existent edge {e!r}")
+    return {q: _survivors(model, q, removed) for q in model.states}
 
 
 def _solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -134,37 +164,36 @@ def _solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     return [a[i][n] for i in range(n)]
 
 
-def _pruned(model: Pots, strategy: MemorylessStrategy) -> Pots:
-    removed = strategy.all_removed()
-    return prune(model, removed) if removed else model
-
-
 def _backward_reachable(
-    model: Pots, targets: frozenset[str], through: frozenset[str]
-) -> frozenset[str]:
+    rows: Mapping[str, Survivors], targets: frozenset[str], through: frozenset[str]
+) -> set[str]:
     """States with a positive-probability path to ``targets`` whose
-    intermediate states all lie in ``through``."""
+    intermediate states all lie in ``through``: a fixpoint over the
+    successor rows, at most |through| rounds."""
     reached = set(targets)
-    frontier = list(targets)
-    while frontier:
-        q = frontier.pop()
-        for p in model.pred(q):
-            if p not in reached and p in through:
-                reached.add(p)
-                frontier.append(p)
-    return frozenset(reached)
+    changed = True
+    while changed:
+        changed = False
+        for q in through:
+            if q not in reached and any(r in reached for r, _ in rows[q]):
+                reached.add(q)
+                changed = True
+    return reached
 
 
 def _reach_exact(
-    pruned: Pots, through: frozenset[str], targets: frozenset[str]
+    states: Sequence[str],
+    rows: Mapping[str, Survivors],
+    through: frozenset[str],
+    targets: frozenset[str],
 ) -> dict[str, Fraction]:
     """Exact probability of hitting ``targets`` while travelling through
-    ``through`` only, per start state, on an already-pruned chain."""
-    values = {q: ZERO for q in pruned.states}
+    ``through`` only, per start state."""
+    values = {q: ZERO for q in states}
     for q in targets:
         values[q] = ONE
-    can = _backward_reachable(pruned, targets, through)
-    unknowns = [q for q in pruned.states if q in through and q in can and q not in targets]
+    can = _backward_reachable(rows, targets, through)
+    unknowns = [q for q in states if q in can and q not in targets]
     if not unknowns:
         return values
     index = {q: i for i, q in enumerate(unknowns)}
@@ -173,8 +202,7 @@ def _reach_exact(
     for q in unknowns:
         i = index[q]
         matrix[i][i] = ONE
-        for r in pruned.succ(q):
-            p = pruned.prob_exact(q, r)
+        for r, p in rows[q]:
             if r in targets:
                 rhs[i] += p
             elif r in index:
@@ -185,7 +213,9 @@ def _reach_exact(
     return values
 
 
-def _stable_core(pruned: Pots, region: frozenset[str]) -> frozenset[str]:
+def _stable_core(
+    rows: Mapping[str, Survivors], region: frozenset[str]
+) -> frozenset[str]:
     """Largest subset of ``region`` every state of which keeps full
     probability mass inside the subset; shrinks to a fixpoint in at most
     |region| rounds."""
@@ -194,11 +224,7 @@ def _stable_core(pruned: Pots, region: frozenset[str]) -> frozenset[str]:
     while changed:
         changed = False
         for q in list(core):
-            mass = sum(
-                (pruned.prob_exact(q, r) for r in pruned.succ(q) if r in core),
-                ZERO,
-            )
-            if mass != 1:
+            if sum((p for r, p in rows[q] if r in core), ZERO) != 1:
                 core.discard(q)
                 changed = True
     return frozenset(core)
@@ -215,12 +241,15 @@ class Frame(NamedTuple):
 
 
 def _frame(
-    model: Pots, theta: PathFormula, sat1: frozenset[str], sat2: frozenset[str]
+    states: Sequence[str],
+    theta: PathFormula,
+    sat1: frozenset[str],
+    sat2: frozenset[str],
 ) -> Frame:
     """Next pins nothing; until pins 1 on ``sat2`` and 0 off ``sat1 | sat2``;
     release pins 1 on ``sat1 & sat2`` and 0 off ``sat2``."""
     if isinstance(theta, Next):
-        return Frame(model.states, 1)
+        return Frame(states, 1)
     if isinstance(theta, (Until, BoundedUntil)):
         return Frame(sat1 - sat2, getattr(theta, "bound", None))
     if isinstance(theta, (Release, BoundedRelease)):
@@ -229,19 +258,47 @@ def _frame(
 
 
 def _unroll(
-    model: Pots,
+    states: Sequence[str],
     frame: Frame,
     sat2: frozenset[str],
     step: Callable[[str, Mapping[str, Fraction]], Fraction],
 ) -> dict[str, Fraction]:
     """Backward induction over the frame's step bound."""
-    x = {q: (ONE if q in sat2 else ZERO) for q in model.states}
+    x = {q: (ONE if q in sat2 else ZERO) for q in states}
     for _ in range(frame.sweeps):
         nxt = dict(x)
         for q in frame.undetermined:
             nxt[q] = step(q, x)
         x = nxt
     return x
+
+
+def _fixed_values(
+    states: Sequence[str],
+    rows: Mapping[str, Survivors],
+    frame: Frame,
+    theta: PathFormula,
+    sat1: frozenset[str],
+    sat2: frozenset[str],
+) -> dict[str, Fraction]:
+    """:func:`exact_prob` on the chain whose state ``q`` keeps ``rows[q]``."""
+    if frame.sweeps is not None:
+        return _unroll(
+            states,
+            frame,
+            sat2,
+            lambda q, x: sum((p * x[r] for r, p in rows[q] if x[r]), ZERO),
+        )
+    within = frame.undetermined
+    if isinstance(theta, Until):
+        return _reach_exact(states, rows, within, sat2)
+    values = _reach_exact(states, rows, within, sat1 & sat2)
+    core = _stable_core(rows, within)
+    if core:
+        forever = _reach_exact(states, rows, within, core)
+        for q in within:
+            values[q] += forever[q]
+    return values
 
 
 def exact_prob(
@@ -258,29 +315,11 @@ def exact_prob(
     ``sat2``. Release adds two disjoint events: hitting a state satisfying
     both operands while staying in the right operand, or staying in the
     right operand (and off the left one) forever, whose mass concentrates
-    on the no-leak core of that region."""
-    pruned = _pruned(model, strategy)
-    frame = _frame(pruned, theta, sat1, sat2)
-    if frame.sweeps is not None:
-        return _unroll(
-            pruned,
-            frame,
-            sat2,
-            lambda q, x: sum(
-                (pruned.prob_exact(q, r) * x[r] for r in pruned.succ(q) if x[r]),
-                ZERO,
-            ),
-        )
-    within = frame.undetermined
-    if isinstance(theta, Until):
-        return _reach_exact(pruned, within, sat2)
-    values = _reach_exact(pruned, within, sat1 & sat2)
-    core = _stable_core(pruned, within)
-    if core:
-        forever = _reach_exact(pruned, within, core)
-        for q in within:
-            values[q] += forever[q]
-    return values
+    on the no-leak core of that region. Raises :class:`ModelError` when
+    the strategy removes an edge the model does not have."""
+    rows = _strategy_rows(model, strategy)
+    frame = _frame(model.states, theta, sat1, sat2)
+    return _fixed_values(model.states, rows, frame, theta, sat1, sat2)
 
 
 def exact_bounded_by_paths(
@@ -292,8 +331,9 @@ def exact_bounded_by_paths(
     start: str,
 ) -> Fraction:
     """Bounded-operator probability by direct enumeration of minimal
-    witnessing prefixes; an independent cross-check for the recursions."""
-    pruned = _pruned(model, strategy)
+    witnessing prefixes on the pruned model; an independent cross-check
+    for the recursions."""
+    pruned = prune(model, strategy.all_removed())
     both = sat1 & sat2
 
     if isinstance(theta, Next):
@@ -357,16 +397,31 @@ def oracle_optimum(
 ) -> OptimumResult:
     """Pointwise min or max of :func:`exact_prob` over every memoryless
     strategy of the grade, with the first strategy attaining each state's
-    optimum kept as witness."""
+    optimum kept as witness. Strategies are walked in
+    :func:`enumerate_strategies` order, each as a choice of one surviving
+    row per state."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    states = model.states
+    per_state, _ = _per_state_options(model, budget, limit)
+    per_state_rows = [
+        [_survivors(model, q, removed) for removed in options]
+        for q, options in zip(states, per_state)
+    ]
+    frame = _frame(states, theta, sat1, sat2)
     best: dict[str, Fraction] = {}
     witness: dict[str, MemorylessStrategy] = {}
-    for strategy in enumerate_strategies(model, budget, limit):
-        values = exact_prob(model, strategy, theta, sat1, sat2)
+    for assignment, chosen in zip(
+        itertools.product(*per_state), itertools.product(*per_state_rows)
+    ):
+        rows = dict(zip(states, chosen))
+        values = _fixed_values(states, rows, frame, theta, sat1, sat2)
+        strategy = None
         for q, v in values.items():
             if q not in best or (v < best[q] if mode == "min" else v > best[q]):
                 best[q] = v
+                if strategy is None:
+                    strategy = _strategy(model, budget, assignment)
                 witness[q] = strategy
     return OptimumResult(values=best, witnesses=witness)
 
@@ -385,20 +440,19 @@ def step_optimum(
     are enumerated outright rather than optimized."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    frame = _frame(model, theta, sat1, sat2)
+    frame = _frame(model.states, theta, sat1, sat2)
     if frame.sweeps is None:
         raise TypeError(f"step_optimum handles next and bounded operators: {theta!r}")
     pick = min if mode == "min" else max
-    rows = {}  # per state, the surviving (successor, probability) row of each option
-    for q in frame.undetermined:
-        rows[q] = []
-        for removed in removal_options(model, q, budget):
-            gone = set(removed)
-            rows[q].append(
-                [(r, model.prob_exact(q, r)) for r in model.succ(q) if (q, r) not in gone]
-            )
+    rows = {
+        q: [
+            _survivors(model, q, removed)
+            for removed in removal_options(model, q, budget)
+        ]
+        for q in frame.undetermined
+    }
     return _unroll(
-        model,
+        model.states,
         frame,
         sat2,
         lambda q, x: pick(

@@ -45,6 +45,11 @@ class TestCheck:
         assert code == 2
         assert "position" in err
 
+    def test_empty_formula_file_name_exits_two(self, capsys, chain_path):
+        code, _, err = run(capsys, "check", "--model", chain_path, "--formula-file", "")
+        assert code == 2
+        assert "cannot read formula file" in err
+
     def test_bad_model_exits_three(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"states": ["q"], "initial": "q", "edges": []}')
@@ -263,6 +268,11 @@ class TestOracle:
             assert payload["sat"] == entry["sat"]
             assert payload["satisfied"] == entry["satisfied"]
             assert payload["values"] == entry["values"]
+
+    def test_empty_formula_exits_two(self, capsys, chain_path):
+        code, _, err = run(capsys, "oracle", "--model", chain_path, "--formula", "")
+        assert code == 2
+        assert "formula error" in err
 
     def test_path_optimum_with_witnesses(self, capsys, chain_path):
         code, payload, _ = run_json(

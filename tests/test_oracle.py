@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from potl.generate import random_pots
-from potl.model import ModelError, Pots
+from potl.generate import corpus, random_pots
+from potl.model import ModelError, Pots, prune
 from potl.obstruction import MemorylessStrategy, empty_strategy
 from potl.oracle import (
     EnumerationLimit,
@@ -191,6 +191,31 @@ class TestExactProb:
         for q in model.states:
             assert abs(exact[q] - approx[q]) < Fraction(1, 10**6)
 
+    def test_goal_many_hops_away_is_reached(self):
+        line = [f"s{i}" for i in range(8)]
+        m = Pots.build(
+            line + ["goal"],
+            "s0",
+            [(q, q, "0.5", 0) for q in line]
+            + [(q, r, "0.5", 0) for q, r in zip(line, line[1:] + ["goal"])]
+            + [("goal", "goal", 1, 0)],
+        )
+        values = exact_prob(
+            m, empty_strategy(), Until(TRUE, Atom("goal")),
+            frozenset(m.states), frozenset({"goal"}),
+        )
+        assert values == {q: 1 for q in m.states}
+
+    def test_removing_a_missing_edge_rejected(self, chain):
+        ghost = MemorylessStrategy(
+            grade=1, removal={"goal": frozenset({("goal", "q")})}
+        )
+        with pytest.raises(ModelError, match="non-existent edge"):
+            exact_prob(
+                chain, ghost, Until(TRUE, Atom("goal")),
+                frozenset(chain.states), frozenset({"goal"}),
+            )
+
     def test_values_stay_in_unit_interval_and_canonical(self, chain):
         values = exact_prob(
             chain, empty_strategy(), Until(TRUE, Atom("goal")),
@@ -277,6 +302,52 @@ class TestOptima:
         assert stepped["q"] == Fraction(45, 100)
         assert stationary["q"] == Fraction(4725, 10000)
         assert stepped["q"] < stationary["q"]
+
+
+VIEW_THETAS = (
+    Next(Atom("b")),
+    BoundedUntil(Atom("a"), Atom("b"), 3),
+    Until(Atom("a"), Atom("b")),
+    BoundedRelease(Atom("a"), Atom("b"), 3),
+    Release(Atom("a"), Atom("b")),
+)
+# four models of 4-5 states, each labelling states with a, b and both;
+# 9 to 126 strategies at grade 4
+VIEW_MODELS = corpus(271, 4, min_states=3)
+
+
+class TestSurvivorRows:
+    """The oracle evaluates strategies on per-state surviving rows; these
+    pin it to the pruned model and to the plain pointwise enumeration."""
+
+    @pytest.mark.parametrize("model", VIEW_MODELS)
+    def test_rows_match_the_pruned_model(self, model):
+        sat1, sat2 = label_sets(model)
+        for grade in (0, 1, 2, 4):
+            for strategy in enumerate_strategies(model, grade):
+                pruned = prune(model, strategy.all_removed())
+                for theta in VIEW_THETAS:
+                    assert exact_prob(model, strategy, theta, sat1, sat2) == exact_prob(
+                        pruned, empty_strategy(), theta, sat1, sat2
+                    )
+
+    @pytest.mark.parametrize("model", VIEW_MODELS)
+    def test_optimum_is_the_first_attaining_pointwise_loop(self, model):
+        sat1, sat2 = label_sets(model)
+        for grade in (0, 1, 2, 4):
+            for mode in ("min", "max"):
+                better = (lambda v, w: v < w) if mode == "min" else (lambda v, w: v > w)
+                for theta in VIEW_THETAS:
+                    best, witness = {}, {}
+                    for strategy in enumerate_strategies(model, grade):
+                        values = exact_prob(model, strategy, theta, sat1, sat2)
+                        for q, v in values.items():
+                            if q not in best or better(v, best[q]):
+                                best[q] = v
+                                witness[q] = strategy
+                    result = oracle_optimum(model, theta, sat1, sat2, grade, mode)
+                    assert dict(result.values) == best
+                    assert dict(result.witnesses) == witness
 
 
 class TestFormulaLevel:
