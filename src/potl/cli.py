@@ -168,7 +168,7 @@ def _cmd_prob(args) -> int:
     theta = _read_path(args)
     opts = _engine_options(args)
     try:
-        if args.strategy:
+        if args.strategy is not None:
             strategy = _load_strategy_for(model, args.strategy)
             stats = engine.Stats()
             sat1, sat2 = engine.operand_sets(model, theta, opts, stats)
@@ -187,7 +187,7 @@ def _cmd_prob(args) -> int:
     except ConvergenceError as exc:
         raise _CliError(str(exc), EXIT_NO_CONVERGENCE)
     values = result.values or {}
-    if args.state:
+    if args.state is not None:
         if args.state not in model.states:
             raise _CliError(f"unknown state {args.state!r}", EXIT_USAGE)
         values = {args.state: values[args.state]}
@@ -228,7 +228,7 @@ def _cmd_synthesize(args) -> int:
         strategy, values = engine.synthesize(model, theta, sat1, sat2, args.grade, opts, stats)
     except ConvergenceError as exc:
         raise _CliError(str(exc), EXIT_NO_CONVERGENCE)
-    if args.output:
+    if args.output is not None:
         try:
             save_strategy(strategy, args.output)
         except OSError as exc:
@@ -247,7 +247,7 @@ def _cmd_synthesize(args) -> int:
         f"strategy:  {strategy_to_json(strategy)}",
     ]
     lines += [f"{q}: {_float_text(v)}" for q, v in sorted(values.items())]
-    if args.output:
+    if args.output is not None:
         lines.append(f"written:   {args.output}")
     _emit(args, payload, lines)
     return 0
@@ -302,7 +302,7 @@ def _cmd_oracle(args) -> int:
             return 0
         theta = _read_path(args)
         sat1, sat2 = oracle.operand_sets(model, theta, args.limit)
-        if args.strategy:
+        if args.strategy is not None:
             strategy = _load_strategy_for(model, args.strategy)
             values = oracle.exact_prob(model, strategy, theta, sat1, sat2)
             payload = {

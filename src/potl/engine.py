@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .model import Pots, prune
@@ -510,11 +509,12 @@ def _sat(
     if isinstance(phi, FalseConst):
         return frozenset()
     if isinstance(phi, Atom):
-        if phi.name not in model.alphabet():
+        out = frozenset(q for q in states if phi.name in model.label_of(q))
+        if not out and phi.name not in model.alphabet():
             message = f"atom {phi.name!r} not in the model's label alphabet"
             if message not in stats.warnings:
                 stats.warnings.append(message)
-        return frozenset(q for q in states if phi.name in model.label_of(q))
+        return out
     if isinstance(phi, Not):
         return states - _sat(model, phi.body, opts, stats)
     if isinstance(phi, And):
@@ -536,11 +536,12 @@ def _decide_query(
 ) -> tuple[dict[str, float], frozenset[str]]:
     sat1, sat2 = operand_sets(model, phi.body, opts, stats)
     values = _dispatch_path(model, phi.body, sat1, sat2, phi.grade, phi.mode, opts, stats)
+    threshold = float(phi.threshold)
     out = set()
     for q, v in values.items():
-        if phi.holds(Fraction(v)):
+        if phi.holds(v):
             out.add(q)
-        if abs(v - float(phi.threshold)) < 10 * opts.epsilon:
+        if abs(v - threshold) < 10 * opts.epsilon:
             message = (
                 f"boundary: value {v!r} at {q} within 10*epsilon of "
                 f"threshold {phi.threshold} in {print_state(phi)}"

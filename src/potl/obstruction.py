@@ -7,6 +7,8 @@ whose total cost fits the grade; at least one edge always survives.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 from math import gcd
@@ -105,13 +107,57 @@ class CostRangeError(ValueError):
 
 _DP_CAP = 200_000
 _ENUM_FALLBACK_DEGREE = 20
+# rows with at most this many strict removal sets at a budget pick from a
+# cached list of them; longer lists go to the knapsack
+_MAX_OPTIONS = 64
+
+
+def _walk(
+    costs: Sequence[int],
+    budget: int,
+    start: int = 0,
+    picked: tuple[int, ...] = (),
+    spent: int = 0,
+):
+    """The strict removal sets within the budget, as index tuples in
+    lexicographic order: every set comes before its extensions."""
+    if len(picked) < len(costs):
+        yield picked
+    for f in range(start, len(costs)):
+        if spent + costs[f] <= budget:
+            yield from _walk(costs, budget, f + 1, picked + (f,), spent + costs[f])
+
+
+@functools.lru_cache(maxsize=4096)
+def _options(costs: tuple[int, ...], budget: int) -> tuple[tuple[int, ...], ...] | None:
+    """The strict removal sets of a cost row within the budget, in
+    lexicographic order, or None when there are more than
+    ``_MAX_OPTIONS`` of them. They do not depend on the values."""
+    options = tuple(itertools.islice(_walk(costs, budget), _MAX_OPTIONS + 1))
+    return options if len(options) <= _MAX_OPTIONS else None
+
+
+def _heaviest(
+    weights: list[int], options: Iterable[tuple[int, ...]]
+) -> tuple[int, tuple[int, ...]]:
+    """The first option removing the largest weight, and that weight; in
+    lexicographic order that is the smallest index set among the optima.
+    The empty set, first in any list, removes nothing."""
+    best_w, best = 0, ()
+    get = weights.__getitem__
+    for option in options:
+        w = sum(map(get, option))
+        if w > best_w:
+            best_w, best = w, option
+    return best_w, best
 
 
 def _knapsack(
     weights: list[int], costs: Sequence[int], budget: int
-) -> tuple[int, tuple[int, ...]]:
+) -> tuple[int, tuple[int, ...]] | None:
     """0/1 knapsack maximizing removed weight within the budget; among
-    optima the lexicographically smallest index set wins.
+    optima the lexicographically smallest index set wins. None when the
+    table would be too large even after dividing the costs by their gcd.
 
     Max weight comes from a suffix DP over the budget; the argmax is then
     rebuilt greedily front to back, taking the earliest index that still
@@ -132,7 +178,7 @@ def _knapsack(
                     "cost range too wide for the removal optimizer "
                     f"(capacity {cap}, degree {d})"
                 )
-            return _knapsack_enumerate(weights, costs, budget)
+            return None
         costs = [c // step for c in costs]
         cap //= step
         budget = cap
@@ -163,25 +209,24 @@ def _knapsack(
     return optimum, tuple(chosen)
 
 
-def _knapsack_enumerate(
+def _strict_knapsack(
     weights: list[int], costs: Sequence[int], budget: int
 ) -> tuple[int, tuple[int, ...]]:
-    best: tuple[int, tuple[int, ...]] | None = None
-
-    def walk(i: int, weight: int, cost: int, picked: tuple[int, ...]) -> None:
-        nonlocal best
-        if (
-            best is None
-            or weight > best[0]
-            or (weight == best[0] and picked < best[1])
-        ):
-            best = (weight, picked)
-        for f in range(i, len(weights)):
-            if cost + costs[f] <= budget:
-                walk(f + 1, weight + weights[f], cost + costs[f], picked + (f,))
-
-    walk(0, 0, 0, ())
-    assert best is not None
+    """The best strict removal set of a row with too many options to list.
+    When the knapsack removes everything it is rerun with each edge pinned
+    kept; when its table would be too large, every option is walked."""
+    best = _knapsack(weights, costs, budget)
+    if best is None:
+        return _heaviest(weights, _walk(costs, budget))
+    if len(best[1]) == len(costs):
+        best = None
+        for keep in range(len(costs)):
+            idx = [i for i in range(len(costs)) if i != keep]
+            # a subset of the row fits the table whenever the row does
+            w, t = _knapsack([weights[i] for i in idx], [costs[i] for i in idx], budget)
+            cand = (w, tuple(idx[i] for i in t))
+            if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                best = cand
     return best
 
 
@@ -203,6 +248,11 @@ def best_removal(
     """
     row = model.row(q)
     costs = row.costs
+    if len(costs) == 1:
+        # strictness keeps a lone edge; the float product is the correctly
+        # rounded exact product
+        ((pn, pd),) = row.ratios
+        return (), pn / pd * value[row.succ[0]]
     # weight i is nums[i] / dens[i], every denominator a power of two;
     # scaled onto the largest of them, the weights are integers
     nums = []
@@ -214,24 +264,12 @@ def best_removal(
     den = max(dens, default=1)
     weights = [n * (den // d) for n, d in zip(nums, dens)]
     total = sum(weights)
-    if len(costs) < 2 or min(costs) > budget:
-        # a lone edge must stay (strictness); otherwise nothing is affordable
-        return (), total / den
-
-    removed_w, chosen = _knapsack(weights, costs, budget)
-    if len(chosen) == len(costs):
-        # removing everything is not allowed: redo with each edge pinned kept
-        best: tuple[int, tuple[int, ...]] | None = None
-        for keep in range(len(costs)):
-            idx = [i for i in range(len(costs)) if i != keep]
-            w, t = _knapsack([weights[i] for i in idx], [costs[i] for i in idx], budget)
-            t_orig = tuple(idx[i] for i in t)
-            cand = (w, t_orig)
-            if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                best = cand
-        removed_w, chosen = best  # type: ignore[misc]
-    removal = tuple(row.edges[i] for i in chosen)
-    return removal, (total - removed_w) / den
+    options = _options(costs, budget)
+    if options is None:
+        removed_w, chosen = _strict_knapsack(weights, costs, budget)
+    else:
+        removed_w, chosen = _heaviest(weights, options)
+    return tuple(row.edges[i] for i in chosen), (total - removed_w) / den
 
 
 # -- strategy file format -----------------------------------------------------

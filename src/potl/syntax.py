@@ -96,9 +96,14 @@ class ObstructQuery(StateFormula):
         ``<``/``<=``, the maximizer for ``>``/``>=``."""
         return "min" if self.cmp in ("<", "<=") else "max"
 
-    def holds(self, value: Fraction) -> bool:
-        """Whether an exact probability satisfies the comparison."""
-        return _COMPARISONS[self.cmp](value, self.threshold)
+    def holds(self, value: float | Fraction) -> bool:
+        """Whether a probability, a float or an exact rational, satisfies the
+        comparison, decided exactly by one integer cross-multiplication."""
+        num, den = value.as_integer_ratio()
+        threshold = self.threshold
+        return _COMPARISONS[self.cmp](
+            num * threshold.denominator, threshold.numerator * den
+        )
 
 
 _COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}

@@ -190,6 +190,23 @@ class TestProb:
         code, _, _ = run(capsys, "prob", "--model", chain_path, "--path", "goal")
         assert code == 2
 
+    def test_empty_state_rejected(self, capsys, chain_path):
+        code, out, err = run(
+            capsys, "prob", "--model", chain_path, "--path", "F goal", "--state", "",
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown state ''" in err
+
+    @pytest.mark.parametrize("command", ["prob", "oracle"])
+    def test_empty_strategy_rejected(self, capsys, chain_path, command):
+        code, out, err = run(
+            capsys, command, "--model", chain_path, "--path", "F goal", "--strategy", "",
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot read strategy" in err
+
 
 class TestSynthesize:
     def test_writes_valid_strategy_reproducible_by_prob(self, capsys, chain_path, tmp_path):
@@ -218,6 +235,15 @@ class TestSynthesize:
         assert out == ""
         assert "cannot write strategy" in err
         assert not target.exists()
+
+    def test_empty_output_exits_two(self, capsys, chain_path):
+        code, out, err = run(
+            capsys, "synthesize", "--model", chain_path,
+            "--path", "F goal", "--grade", "1", "-o", "",
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot write strategy" in err
 
     def test_max_mode_rejected(self, capsys, chain_path):
         code, _, _ = run(

@@ -300,7 +300,9 @@ class TestSatLayer:
     def test_unknown_atom_warns_and_is_empty(self, chain):
         result = check(chain, parse("ghost"))
         assert result.sat == frozenset()
-        assert any("ghost" in w for w in result.warnings)
+        assert result.warnings == ["atom 'ghost' not in the model's label alphabet"]
+        assert check(chain, parse("goal & ghost | ghost")).warnings == result.warnings
+        assert check(chain, parse("goal")).warnings == []
 
     def test_desugar_coherence_eventually(self, chain):
         assert sat(chain, parse("<<1 <= 0.5>> F goal")) == sat(

@@ -10,6 +10,7 @@ from potl.generate import random_pots
 from potl.model import Pots, edges_of
 from potl.obstruction import (
     MemorylessStrategy,
+    _options,
     best_removal,
     can_cut,
     empty_strategy,
@@ -229,6 +230,49 @@ class TestBestRemoval:
         expected_removal, expected_surviving = enumerate_best(m, "hub", budget, values)
         assert removal == expected_removal
         assert surviving == float(expected_surviving)
+
+    # at 2.9e-308 the product of 1/3 is subnormal, where rounding twice
+    # (a product, then a division) loses the correctly rounded result
+    @pytest.mark.parametrize("prob", [Fraction(1), Fraction(1, 3), Fraction(1, 10)])
+    @pytest.mark.parametrize("value", EDGE_VALUES + [2.9e-308])
+    def test_lone_edge_keeps_the_exact_product(self, prob, value):
+        # the row need not be stochastic for the optimizer
+        m = Pots.build(["hub", "t0"], "hub", [("hub", "t0", prob, 0), ("t0", "t0", 1, 0)])
+        values = {"hub": 0.0, "t0": value}
+        removal, surviving = best_removal(m, "hub", 5, values)
+        expected_removal, expected_surviving = enumerate_best(m, "hub", 5, values)
+        assert removal == expected_removal == ()
+        assert surviving == float(expected_surviving)
+
+    @pytest.mark.parametrize("budget, listed", [(2, True), (3, False), (8, False)])
+    def test_both_sides_of_the_option_list_bound(self, budget, listed):
+        # eight edges of cost 1: 37 strict removal sets within budget 2,
+        # 93 within 3, and the strictness retry decides at 8
+        edge_values = [0.3, 0.9, 0.05, 0.9, 0.6, 1e-300, 0.1, 0.7]
+        m, values = star([(1, v, w) for w, v in enumerate(edge_values, 1)])
+        assert (_options(m.row("hub").costs, budget) is not None) == listed
+        removal, surviving = best_removal(m, "hub", budget, values)
+        expected_removal, expected_surviving = enumerate_best(m, "hub", budget, values)
+        assert removal == expected_removal
+        assert surviving == float(expected_surviving)
+
+    def test_wide_row_with_few_options_is_answered(self):
+        # 21 edges with a cost range too wide for the table, but only the
+        # empty set, the singletons and one pair fit the budget
+        big = 2**31
+        m, values = star([(big + i, (i % 7) / 7, i + 1) for i in range(21)])
+        removal, surviving = best_removal(m, "hub", 2 * big + 1, values)
+        edges = edges_of(m, "hub")
+        weights = [Fraction(m.trans(*e)) * Fraction(values[e[1]]) for e in edges]
+        total = sum(weights)
+        best = min(
+            (total - sum(weights[i] for i in combo), combo)
+            for size in range(3)
+            for combo in itertools.combinations(range(21), size)
+            if sum(m.cost_of(*edges[i]) for i in combo) <= 2 * big + 1
+        )
+        assert removal == tuple(edges[i] for i in best[1])
+        assert surviving == float(best[0])
 
     def test_zero_weight_tie_removes_heavy_edge_alone(self):
         m, values = star([(0, 1.0, 5), (0, 0.0, 1), (0, 0.0, 1)])

@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -211,3 +213,17 @@ class TestPrint:
     def test_sugar_prints_readably(self):
         assert print_path(Globally(Atom("p"))) == "G p"
         assert print_path(Eventually(Atom("p"))) == "F p"
+
+
+class TestHolds:
+    @pytest.mark.parametrize("cmp", ["<", "<=", ">", ">="])
+    @pytest.mark.parametrize(
+        "threshold",
+        [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
+    )
+    def test_float_verdict_is_the_exact_one(self, cmp, threshold):
+        phi = ObstructQuery(1, cmp, threshold, Until(Atom("a"), Atom("b")))
+        exact = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+        for v in [0.0, 0.1, math.nextafter(0.1, 0), 0.5, 5e-324, 1.0]:
+            assert phi.holds(v) == phi.holds(Fraction(v)), v
+            assert phi.holds(v) == exact[cmp](Fraction(v), threshold), v
