@@ -17,6 +17,12 @@ plus ``best_removal`` on seeded star rows (degree 1 to 12, successor
 values at the edges of the float range, rows wide enough for the
 knapsack, huge costs, and rows whose cost range is rejected).
 
+A second line identifies the parser's output the same way: ``repr`` of
+the parsed formula, its printed form and ``formula_size`` for each of
+``formula_texts()``, seeded random texts that use every path form (F, G,
+W and the bounded F<=k and G<=k sugar among them), nested queries,
+redundant parentheses and unparenthesized connective chains.
+
     PYTHONHASHSEED=0 python scripts/answers_digest.py
 """
 
@@ -47,7 +53,9 @@ from potl.syntax import (
     ObstructQuery,
     Release,
     Until,
+    formula_size,
     parse,
+    print_state,
 )
 
 A, B = Atom("a"), Atom("b")
@@ -134,17 +142,74 @@ def removal_results(seed=2024, rows=3000):
             yield ("removal", removal, surviving.hex())
 
 
-def main() -> None:
-    digest = hashlib.sha256()
+LEAVES = ["true", "false", "a", "b", "goal", "r2"]
+THRESHOLD_TEXTS = ["0", "1", "0.5", "0.1", "0.125", "1/3", "2/7"]
+
+
+def state_text(rng, depth):
+    if depth <= 0 or rng.random() < 0.15:
+        return rng.choice(LEAVES)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return "!" + operand_text(rng, depth - 1)
+    if kind == 1:
+        parts = [operand_text(rng, depth - 1)]
+        for _ in range(rng.randint(1, 3)):
+            parts += [rng.choice(["&", "|", "->"]), operand_text(rng, depth - 1)]
+        return " ".join(parts)
+    head = f"<<{rng.randint(0, 4)} {rng.choice(['<', '<=', '>', '>='])} "
+    return head + f"{rng.choice(THRESHOLD_TEXTS)}>> {path_text(rng, depth - 1)}"
+
+
+def operand_text(rng, depth):
+    """A state formula that stands bare beside an operator: a leaf, or
+    anything in parentheses."""
+    text = state_text(rng, depth)
+    return text if text in LEAVES and rng.random() < 0.8 else f"({text})"
+
+
+def path_text(rng, depth):
+    op = rng.choice(["X", "F", "G", "U", "R", "W"])
+    if op != "X" and op != "W" and rng.random() < 0.5:
+        op += f"<={rng.randint(0, 9)}"
+    if op[0] in "XFG":
+        body = state_text(rng, depth) if rng.random() < 0.3 else operand_text(rng, depth)
+        text = f"{op} {body}"
+    else:
+        text = f"{operand_text(rng, depth)} {op} {operand_text(rng, depth)}"
+    return f"({text})" if rng.random() < 0.3 else text
+
+
+def formula_texts(seed=2024, count=20000):
+    """Seeded random state formula texts, every one of them parseable."""
+    rng = random.Random(seed)
+    return [state_text(rng, rng.randint(0, 4)) for _ in range(count)]
+
+
+def formula_results(texts):
+    for text in texts:
+        phi = parse(text)
+        yield (repr(phi), print_state(phi), formula_size(phi))
+
+
+def digest(streams):
+    """Result count and sha256 over the reprs of every result, in order."""
+    sha = hashlib.sha256()
     count = 0
-    models = corpus(2024, 60) + [scaling_model(200)]
-    streams = [engine_results(m) for m in models] + [removal_results()]
     for stream in streams:
         for result in stream:
-            digest.update(repr(result).encode())
-            digest.update(b"\n")
+            sha.update(repr(result).encode())
+            sha.update(b"\n")
             count += 1
-    print(f"results {count} sha256 {digest.hexdigest()}")
+    return count, sha.hexdigest()
+
+
+def main() -> None:
+    models = corpus(2024, 60) + [scaling_model(200)]
+    count, hexdigest = digest([engine_results(m) for m in models] + [removal_results()])
+    print(f"results {count} sha256 {hexdigest}")
+    count, hexdigest = digest([formula_results(formula_texts())])
+    print(f"formulas {count} sha256 {hexdigest}")
 
 
 if __name__ == "__main__":

@@ -47,6 +47,6 @@ from .oracle import (
     oracle_sat,
     step_optimum,
 )
-from .syntax import ParseError, desugar, parse, parse_path_formula, print_state
+from .syntax import ParseError, parse, parse_path_formula, print_state
 
 __version__ = "0.1.0"

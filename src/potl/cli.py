@@ -4,9 +4,10 @@ Exit codes: 0 success (and, for check, initial state satisfied); 1 check
 ran but the initial state does not satisfy; 2 usage or formula errors,
 including a negative grade, an enumeration limit below 1, an epsilon that
 is not finite and positive, a maximum iteration count below 1, edge costs
-too wide for the removal optimizer, and a strategy file that cannot be
-written; 3 invalid model; 4 no convergence, or a step bound above the
-maximum iteration count; 5 oracle enumeration too large.
+too wide for the removal optimizer, a strategy file that cannot be
+written, and input nested deeper than Python's recursion limit; 3 invalid
+model; 4 no convergence, or a step bound above the maximum iteration
+count; 5 oracle enumeration too large.
 """
 
 from __future__ import annotations
@@ -494,6 +495,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except CostRangeError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # parsing, checking and printing recurse once per nesting level
+        print("input nested too deeply: Python's recursion limit was reached", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -254,9 +254,15 @@ def _optimum(
 
 
 def prob_next(
-    model: Pots, sat_body: frozenset[str], budget: int, mode: str
+    model: Pots,
+    sat_body: frozenset[str],
+    budget: int,
+    mode: str,
+    opts: EngineOptions = DEFAULT_OPTIONS,
+    stats: Stats | None = None,
 ) -> dict[str, float]:
-    return _optimum(model, _frame(model, Next, frozenset(), sat_body), budget, mode)
+    frame = _frame(model, Next, frozenset(), sat_body)
+    return _optimum(model, frame, budget, mode, opts, stats)
 
 
 def prob_bounded_until(
@@ -324,7 +330,7 @@ def _dispatch_path(
     stats: Stats | None,
 ) -> dict[str, float]:
     if isinstance(theta, Next):
-        return prob_next(model, sat2, budget, mode)
+        return prob_next(model, sat2, budget, mode, opts, stats)
     if isinstance(theta, BoundedUntil):
         return prob_bounded_until(model, sat1, sat2, theta.bound, budget, mode, opts, stats)
     if isinstance(theta, Until):
@@ -388,25 +394,6 @@ def synthesize(
 
 
 # -- transcribed qualitative backward searches (conformance artifacts) ----------------
-
-
-@dataclass(frozen=True)
-class QualPartition:
-    q_yes: frozenset[str]
-    q_no: frozenset[str]
-    q_maybe: frozenset[str]
-
-
-def qual_partition(
-    model: Pots, sat1: frozenset[str], sat2: frozenset[str], budget: int
-) -> QualPartition:
-    """The three-way split driving the bounded computation, as stated:
-    yes-states from the obstruction predecessor of the right operand."""
-    states = frozenset(model.states)
-    q_yes = obstruct_pred(model, budget, sat2)
-    q_no = states - (obstruct_pred(model, budget, sat1) | obstruct_pred(model, budget, sat2))
-    q_maybe = states - q_yes - q_no
-    return QualPartition(q_yes=q_yes, q_no=q_no, q_maybe=q_maybe)
 
 
 def _qual_backward(
@@ -553,7 +540,7 @@ def _decide_query(
 def sat(
     model: Pots, phi: StateFormula, opts: EngineOptions = DEFAULT_OPTIONS
 ) -> frozenset[str]:
-    """Satisfaction set of a (desugared) state formula."""
+    """Satisfaction set of a state formula."""
     return _sat(model, phi, opts, Stats())
 
 

@@ -249,6 +249,8 @@ def loads_model(text: str) -> Pots:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelError(f"model file nests too deeply: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("model file must contain a JSON object")
     unknown = set(doc) - _MODEL_KEYS

@@ -469,10 +469,9 @@ def oracle_sat(
     phi: StateFormula,
     limit: int = DEFAULT_LIMIT,
 ) -> frozenset[str]:
-    """Exact satisfaction set of a (desugared) state formula. Unbounded
-    operators take the optimum over the memoryless enumeration; bounded
-    ones take the step-wise optimum, which matches strategies free to
-    re-choose per step."""
+    """Exact satisfaction set of a state formula. Unbounded operators take
+    the optimum over the memoryless enumeration; bounded ones take the
+    step-wise optimum, which matches strategies free to re-choose per step."""
     if isinstance(phi, TrueConst):
         return frozenset(model.states)
     if isinstance(phi, FalseConst):
@@ -492,7 +491,7 @@ def oracle_sat(
     if isinstance(phi, ObstructQuery):
         values = oracle_query_values(model, phi, limit)
         return frozenset(q for q, v in values.items() if phi.holds(v))
-    raise TypeError(f"not a desugared state formula: {phi!r}")
+    raise TypeError(f"not a state formula: {phi!r}")
 
 
 def operand_sets(

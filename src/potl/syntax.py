@@ -1,8 +1,9 @@
 """Formula syntax: AST, lexer, recursive-descent parser, printer.
 
 State layer: true | false | atoms | ! & | -> | <<n CMP k>> path.
-Path layer: X, U, R, their step-bounded forms, plus F / G / W sugar that
-parsing and :func:`desugar` rewrite into the five core constructors.
+Path layer: the five core constructors X, U, R, U<=k and R<=k. The parser
+reads the F / G / W sugar straight into them: F p = true U p,
+G p = false R p, p W q = q R (p | q), and likewise for F<=k and G<=k.
 Thresholds are exact rationals; no parse-time rounding.
 """
 
@@ -12,6 +13,8 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .model import fraction_to_decimal
 
 
 class ParseError(ValueError):
@@ -146,37 +149,6 @@ class BoundedRelease(PathFormula):
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError("bound must be non-negative")
-
-
-# sugar nodes, eliminated by desugar()
-
-
-@dataclass(frozen=True)
-class Eventually(PathFormula):
-    body: StateFormula
-
-
-@dataclass(frozen=True)
-class Globally(PathFormula):
-    body: StateFormula
-
-
-@dataclass(frozen=True)
-class BoundedEventually(PathFormula):
-    body: StateFormula
-    bound: int
-
-
-@dataclass(frozen=True)
-class BoundedGlobally(PathFormula):
-    body: StateFormula
-    bound: int
-
-
-@dataclass(frozen=True)
-class WeakUntil(PathFormula):
-    left: StateFormula
-    right: StateFormula
 
 
 TRUE = TrueConst()
@@ -320,7 +292,7 @@ class _Parser:
         threshold = self.parse_prob()
         self.expect("rangle", "'>>'")
         body = self.parse_path()
-        return ObstructQuery(int(grade_tok.text), cmp, threshold, desugar_path(body))
+        return ObstructQuery(int(grade_tok.text), cmp, threshold, body)
 
     def parse_prob(self) -> Fraction:
         tok = self.peek()
@@ -355,18 +327,12 @@ class _Parser:
         if tok.kind == "X":
             self.advance()
             return Next(self.parse_state())
-        if tok.kind == "F":
+        if tok.kind in ("F", "G"):
+            # F p = true U p, G p = false R p, and likewise step-bounded
             self.advance()
-            if self.peek().kind == "le":
-                bound = self.parse_bound()
-                return BoundedEventually(self.parse_state(), bound)
-            return Eventually(self.parse_state())
-        if tok.kind == "G":
-            self.advance()
-            if self.peek().kind == "le":
-                bound = self.parse_bound()
-                return BoundedGlobally(self.parse_state(), bound)
-            return Globally(self.parse_state())
+            bound = self.parse_bound() if self.peek().kind == "le" else None
+            op, left = ("U", TRUE) if tok.kind == "F" else ("R", FALSE)
+            return _core(op, left, self.parse_state(), bound)
         if tok.kind == "(":
             # either a parenthesized path formula or a parenthesized state
             # operand of a binary path operator; try the former, back off
@@ -393,16 +359,23 @@ class _Parser:
         if op.kind in ("U", "R") and self.peek().kind == "le":
             bound = self.parse_bound()
         right = self.parse_state()
-        if op.kind == "U":
-            return Until(left, right) if bound is None else BoundedUntil(left, right, bound)
-        if op.kind == "R":
-            return Release(left, right) if bound is None else BoundedRelease(left, right, bound)
-        return WeakUntil(left, right)
+        if op.kind == "W":
+            return Release(right, Or(left, right))  # p W q = q R (p | q)
+        return _core(op.kind, left, right, bound)
+
+
+_CORE = {"U": (Until, BoundedUntil), "R": (Release, BoundedRelease)}
+
+
+def _core(op: str, left: StateFormula, right: StateFormula, bound: int | None) -> PathFormula:
+    """Until or release (``op`` "U" or "R"), step-bounded when ``bound`` is set."""
+    unbounded, bounded = _CORE[op]
+    return unbounded(left, right) if bound is None else bounded(left, right, bound)
 
 
 def parse(text: str) -> StateFormula:
     """Parse a state formula. Path sugar (F, G, W and their bounds) comes
-    out desugared; boolean connectives are preserved."""
+    out as the core constructors; boolean connectives are preserved."""
     parser = _Parser(text)
     formula = parser.parse_state()
     tok = parser.peek()
@@ -412,60 +385,13 @@ def parse(text: str) -> StateFormula:
 
 
 def parse_path_formula(text: str) -> PathFormula:
-    """Parse a bare path formula (the body of a query), desugared."""
+    """Parse a bare path formula (the body of a query)."""
     parser = _Parser(text)
     formula = parser.parse_path()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return desugar_path(formula)
-
-
-# -- desugaring -------------------------------------------------------------
-
-
-def desugar_path(theta: PathFormula) -> PathFormula:
-    """Rewrite F, G, W and their bounded forms into the five core path
-    constructors: F p = true U p, G p = false R p, p W q = q R (p | q)."""
-    if isinstance(theta, Next):
-        return Next(desugar(theta.body))
-    if isinstance(theta, Until):
-        return Until(desugar(theta.left), desugar(theta.right))
-    if isinstance(theta, BoundedUntil):
-        return BoundedUntil(desugar(theta.left), desugar(theta.right), theta.bound)
-    if isinstance(theta, Release):
-        return Release(desugar(theta.left), desugar(theta.right))
-    if isinstance(theta, BoundedRelease):
-        return BoundedRelease(desugar(theta.left), desugar(theta.right), theta.bound)
-    if isinstance(theta, Eventually):
-        return Until(TRUE, desugar(theta.body))
-    if isinstance(theta, BoundedEventually):
-        return BoundedUntil(TRUE, desugar(theta.body), theta.bound)
-    if isinstance(theta, Globally):
-        return Release(FALSE, desugar(theta.body))
-    if isinstance(theta, BoundedGlobally):
-        return BoundedRelease(FALSE, desugar(theta.body), theta.bound)
-    if isinstance(theta, WeakUntil):
-        left, right = desugar(theta.left), desugar(theta.right)
-        return Release(right, Or(left, right))
-    raise TypeError(f"not a path formula: {theta!r}")
-
-
-def desugar(phi: StateFormula) -> StateFormula:
-    """Idempotent removal of path sugar everywhere inside a state formula."""
-    if isinstance(phi, (TrueConst, FalseConst, Atom)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(desugar(phi.body))
-    if isinstance(phi, And):
-        return And(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Or):
-        return Or(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Implies):
-        return Implies(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, ObstructQuery):
-        return ObstructQuery(phi.grade, phi.cmp, phi.threshold, desugar_path(phi.body))
-    raise TypeError(f"not a state formula: {phi!r}")
+    return formula
 
 
 # -- structural helpers ------------------------------------------------------
@@ -475,58 +401,16 @@ def formula_size(phi: StateFormula | PathFormula) -> int:
     """Number of connectives (state and path operators; leaves count 0)."""
     if isinstance(phi, (TrueConst, FalseConst, Atom)):
         return 0
-    if isinstance(phi, Not):
+    if isinstance(phi, (Not, ObstructQuery, Next)):
         return 1 + formula_size(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return 1 + formula_size(phi.left) + formula_size(phi.right)
-    if isinstance(phi, ObstructQuery):
-        return 1 + formula_size(phi.body)
-    if isinstance(phi, (Next, Eventually, Globally)):
-        return 1 + formula_size(phi.body)
-    if isinstance(phi, (BoundedEventually, BoundedGlobally)):
-        return 1 + formula_size(phi.body)
-    if isinstance(phi, (Until, BoundedUntil, Release, BoundedRelease, WeakUntil)):
+    if isinstance(phi, (And, Or, Implies, Until, BoundedUntil, Release, BoundedRelease)):
         return 1 + formula_size(phi.left) + formula_size(phi.right)
     raise TypeError(f"not a formula: {phi!r}")
-
-
-def subformulas(phi: StateFormula) -> list[StateFormula]:
-    """State subformulas in dependency order: every formula follows its own
-    subformulas, the input comes last; duplicates collapsed."""
-    seen: dict[StateFormula, None] = {}
-
-    def visit_state(f: StateFormula) -> None:
-        if isinstance(f, Not):
-            visit_state(f.body)
-        elif isinstance(f, (And, Or, Implies)):
-            visit_state(f.left)
-            visit_state(f.right)
-        elif isinstance(f, ObstructQuery):
-            visit_path(f.body)
-        if f not in seen:
-            seen[f] = None
-
-    def visit_path(theta: PathFormula) -> None:
-        if isinstance(theta, Next):
-            visit_state(theta.body)
-        elif isinstance(theta, (Until, BoundedUntil, Release, BoundedRelease)):
-            visit_state(theta.left)
-            visit_state(theta.right)
-        else:
-            raise ValueError(f"subformulas requires a desugared formula: {theta!r}")
-
-    visit_state(phi)
-    return list(seen)
 
 
 # -- printer -----------------------------------------------------------------
 
 _PREC = {Implies: 1, Or: 2, And: 3, Not: 4}
-_ATOMIC = 5
-
-
-def _prec(phi: StateFormula) -> int:
-    return _PREC.get(type(phi), _ATOMIC)
 
 
 def threshold_text(k: Fraction) -> str:
@@ -537,11 +421,9 @@ def threshold_text(k: Fraction) -> str:
     while den % 5 == 0:
         den //= 5
     if den == 1:
-        from .model import fraction_to_decimal
-
-        text = fraction_to_decimal(k)
+        text = fraction_to_decimal(k)  # "0", "1", "0.1", ...
         if len(text) <= 14:
-            return text if "." in text else text  # "0", "1", "0.1", ...
+            return text
     return f"{k.numerator}/{k.denominator}"
 
 
@@ -594,14 +476,6 @@ def _print_operand(phi: StateFormula) -> str:
 def print_path(theta: PathFormula) -> str:
     if isinstance(theta, Next):
         return f"X {_print_operand(theta.body)}"
-    if isinstance(theta, Eventually):
-        return f"F {_print_operand(theta.body)}"
-    if isinstance(theta, Globally):
-        return f"G {_print_operand(theta.body)}"
-    if isinstance(theta, BoundedEventually):
-        return f"F<={theta.bound} {_print_operand(theta.body)}"
-    if isinstance(theta, BoundedGlobally):
-        return f"G<={theta.bound} {_print_operand(theta.body)}"
     if isinstance(theta, Until):
         return f"{_print_operand(theta.left)} U {_print_operand(theta.right)}"
     if isinstance(theta, BoundedUntil):
@@ -610,6 +484,4 @@ def print_path(theta: PathFormula) -> str:
         return f"{_print_operand(theta.left)} R {_print_operand(theta.right)}"
     if isinstance(theta, BoundedRelease):
         return f"{_print_operand(theta.left)} R<={theta.bound} {_print_operand(theta.right)}"
-    if isinstance(theta, WeakUntil):
-        return f"{_print_operand(theta.left)} W {_print_operand(theta.right)}"
     raise TypeError(f"not a path formula: {theta!r}")

@@ -88,6 +88,18 @@ class TestCheck:
         assert code == 4
         assert "convergence" in err or "iterations" in err
 
+    def test_next_reports_its_sweep(self, capsys, chain_path):
+        # X and F<=1 are both one sweep; synthesis adds its extraction sweep
+        for path in ("X goal", "F<=1 goal"):
+            _, payload, _ = run_json(
+                capsys, "check", "--model", chain_path, "--formula", f"<<1 < 0.5>> {path}"
+            )
+            assert payload["iterations"] == 1, path
+            _, payload, _ = run_json(
+                capsys, "synthesize", "--model", chain_path, "--path", path, "--grade", "1"
+            )
+            assert payload["iterations"] == 2, path
+
     def test_step_bound_above_max_iterations_exits_four(self, capsys, chain_path):
         started = time.perf_counter()
         code, out, err = run(
@@ -147,6 +159,51 @@ class TestNegativeGrade:
             main([command, "--model", chain_path, "--path", "F goal", "--grade", "-1"])
         assert exc.value.code == 2
         assert "non-negative" in capsys.readouterr().err
+
+
+DEEP_PARENS = "(" * 3000 + "goal" + ")" * 3000
+DEEP_NOTS = "!" * 3000 + "goal"
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--formula", DEEP_PARENS),
+            ("check", "--formula", DEEP_NOTS),
+            ("prob", "--path", "X " + DEEP_PARENS),
+            ("synthesize", "--grade", "1", "--path", "F " + DEEP_NOTS),
+            ("oracle", "--formula", DEEP_NOTS),
+            ("conformance", "--grade", "1", "--path", "true U " + DEEP_PARENS),
+        ],
+        ids=["check-parens", "check-nots", "prob", "synthesize", "oracle", "conformance"],
+    )
+    def test_exits_two_without_traceback(self, capsys, chain_path, argv):
+        code, out, err = run(capsys, argv[0], "--model", chain_path, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err
+
+    def test_deeply_nested_model_exits_three(self, capsys, tmp_path):
+        model = tmp_path / "deep.json"
+        model.write_text('{"states": ' + "[" * 100000 + "]" * 100000 + "}")
+        code, out, err = run(capsys, "check", "--model", str(model), "--formula", "true")
+        assert code == 3
+        assert out == ""
+        assert "nests too deeply" in err
+
+    def test_moderate_nesting_still_checks(self, capsys, chain_path):
+        plain = run_json(
+            capsys, "check", "--model", chain_path, "--formula", "<<1 < 0.5>> F goal"
+        )
+        for formula in (
+            "(" * 100 + "<<1 < 0.5>> F goal" + ")" * 100,
+            "!" * 500 + "<<1 < 0.5>> F goal",
+        ):
+            code, payload, _ = run_json(
+                capsys, "check", "--model", chain_path, "--formula", formula
+            )
+            assert (code, payload["sat"]) == (plain[0], plain[1]["sat"])
 
 
 class TestEnumerationLimit:

@@ -18,7 +18,6 @@ from potl.engine import (
     prob_release,
     prob_until,
     qual_one_search,
-    qual_partition,
     qual_zero_search,
     sat,
     synthesize,
@@ -226,14 +225,6 @@ class TestRelease:
 
 
 class TestQualArtifacts:
-    def test_partition_is_a_partition(self, chain):
-        part = qual_partition(chain, frozenset({"q"}), frozenset({"goal"}), 1)
-        states = frozenset(chain.states)
-        assert part.q_yes | part.q_no | part.q_maybe == states
-        assert not (part.q_yes & part.q_no)
-        assert not (part.q_yes & part.q_maybe)
-        assert not (part.q_no & part.q_maybe)
-
     def test_full_right_operand_grows_to_everything(self, chain):
         full = frozenset(chain.states)
         zero = qual_zero_search(chain, frozenset(), full, 0)

@@ -1,6 +1,9 @@
+import dataclasses
 import math
 import operator
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,24 +18,36 @@ from potl.syntax import (
     Atom,
     BoundedRelease,
     BoundedUntil,
-    Eventually,
-    Globally,
     Implies,
+    Next,
     Not,
     ObstructQuery,
     Or,
     ParseError,
+    PathFormula,
     Release,
+    StateFormula,
     Until,
-    WeakUntil,
-    desugar,
     formula_size,
     parse,
     parse_path_formula,
-    print_path,
     print_state,
-    subformulas,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts"))
+from answers_digest import formula_texts  # noqa: E402
+
+CORE_PATHS = (Next, Until, BoundedUntil, Release, BoundedRelease)
+
+
+def path_nodes(phi):
+    """Every path formula inside a formula."""
+    if isinstance(phi, PathFormula):
+        yield phi
+    for field in dataclasses.fields(phi):
+        value = getattr(phi, field.name)
+        if isinstance(value, (StateFormula, PathFormula)):
+            yield from path_nodes(value)
 
 
 class TestParse:
@@ -116,17 +131,20 @@ class TestParse:
 
 
 class TestDesugar:
+    """Parsing reads F, G, W and their bounded forms straight into the five
+    core path constructors, inside nested queries too."""
+
     def test_globally_becomes_release(self):
-        phi = ObstructQuery(1, "<", Fraction(1, 2), Globally(Atom("p")))
-        assert desugar(phi).body == Release(FALSE, Atom("p"))
+        assert parse("<<1 < 0.5>> G p").body == Release(FALSE, Atom("p"))
 
     def test_weak_until_becomes_release(self):
-        phi = ObstructQuery(1, "<", Fraction(1, 2), WeakUntil(Atom("a"), Atom("b")))
-        assert desugar(phi).body == Release(Atom("b"), Or(Atom("a"), Atom("b")))
+        left, right = And(Atom("a"), Atom("c")), Not(Atom("b"))
+        assert parse_path_formula("(a & c) W !b") == Release(right, Or(left, right))
 
     def test_eventually_becomes_until(self):
-        phi = ObstructQuery(1, "<", Fraction(1, 2), Eventually(Atom("p")))
-        assert desugar(phi).body == Until(TRUE, Atom("p"))
+        phi = parse("<<1 < 0.5>> F <<0 > 0.5>> G p")
+        inner = ObstructQuery(0, ">", Fraction(1, 2), Release(FALSE, Atom("p")))
+        assert phi.body == Until(TRUE, inner)
 
     def test_bounded_sugar(self):
         phi = parse("<<1 < 0.5>> F<=3 p")
@@ -134,54 +152,24 @@ class TestDesugar:
         phi = parse("<<1 < 0.5>> G<=3 p")
         assert phi.body == BoundedRelease(FALSE, Atom("p"), 3)
 
+    def test_size_counts_the_core_form(self):
+        assert formula_size(parse("<<1 < 0.5>> a W b")) == 3  # query, R, |
+        assert formula_size(parse("!a & <<0 > 0.1>> F<=2 b")) == 4
+
     def test_core_formula_unchanged(self):
         phi = parse("<<1 < 0.5>> a U b & c")
-        assert desugar(phi) == phi
+        assert phi == ObstructQuery(
+            1, "<", Fraction(1, 2), Until(Atom("a"), And(Atom("b"), Atom("c")))
+        )
+        assert print_state(phi) == "<<1 < 0.5>> a U (b & c)"
 
     @settings(max_examples=50)
     @given(seed=st.integers(0, 10**9))
     def test_idempotent_and_core_only(self, seed):
-        phi = random_state(random.Random(seed), 4)
-        lowered = desugar(phi)
-        assert desugar(lowered) == lowered
-        subformulas(lowered)  # raises if any sugar node survived
-
-
-class TestSubformulas:
-    def test_single_atom(self):
-        assert subformulas(Atom("p")) == [Atom("p")]
-
-    def test_and_not(self):
-        phi = And(Atom("p"), Not(Atom("q")))
-        assert subformulas(phi) == [Atom("p"), Atom("q"), Not(Atom("q")), phi]
-
-    def test_threshold_query_expansion(self):
-        phi = parse("<<4 < 0.1>> F (r2 | r3)")
-        assert subformulas(phi) == [
-            TRUE,
-            Atom("r2"),
-            Atom("r3"),
-            Or(Atom("r2"), Atom("r3")),
-            phi,
-        ]
-
-    def test_duplicates_collapse(self):
-        phi = And(Atom("p"), Atom("p"))
-        assert subformulas(phi) == [Atom("p"), phi]
-
-    @settings(max_examples=80)
-    @given(seed=st.integers(0, 10**9))
-    def test_every_formula_follows_its_parts_and_length_bound(self, seed):
-        phi = random_state(random.Random(seed), 4)
-        subs = subformulas(phi)
-        assert subs[-1] == phi
-        seen = set()
-        for sub in subs:
-            for part in subformulas(sub)[:-1]:
-                assert part in seen
-            seen.add(sub)
-        leaves = {s for s in subs if isinstance(s, (Atom,)) or s in (TRUE, FALSE)}
-        assert len(subs) <= formula_size(phi) + len(leaves) + 1
+        for text in formula_texts(seed, 20):
+            phi = parse(text)
+            assert all(isinstance(theta, CORE_PATHS) for theta in path_nodes(phi)), text
+            assert parse(print_state(phi)) == phi, text
 
 
 class TestPrint:
@@ -209,10 +197,6 @@ class TestPrint:
     def test_round_trip_random_asts(self, seed, depth):
         phi = random_state(random.Random(seed), depth)
         assert parse(print_state(phi)) == phi
-
-    def test_sugar_prints_readably(self):
-        assert print_path(Globally(Atom("p"))) == "G p"
-        assert print_path(Eventually(Atom("p"))) == "F p"
 
 
 class TestHolds:
