@@ -23,6 +23,11 @@ the parsed formula, its printed form and ``formula_size`` for each of
 W and the bounded F<=k and G<=k sugar among them), nested queries,
 redundant parentheses and unparenthesized connective chains.
 
+A third line identifies the exact oracle's answers: ``oracle_optimum``
+values and witnesses for all five operators, and ``step_optimum`` values
+for X, U<=3 and R<=3, on ``corpus(2024, 60)`` at grades {0, 1, 2, 4} in
+both modes; rationals enter as ``num/den``.
+
     PYTHONHASHSEED=0 python scripts/answers_digest.py
 """
 
@@ -45,6 +50,8 @@ from potl.engine import (
 from potl.generate import corpus, scaling_model
 from potl.model import Pots
 from potl.obstruction import CostRangeError, best_removal
+from potl.oracle import operand_sets as oracle_operand_sets
+from potl.oracle import oracle_optimum, step_optimum
 from potl.syntax import (
     Atom,
     BoundedRelease,
@@ -105,6 +112,25 @@ def engine_results(model):
     for text in NESTED:
         r = check(model, parse(text))
         yield ("nested", sorted(r.sat), r.iterations, tuple(r.warnings))
+
+
+def exact(values):
+    return tuple((q, str(v)) for q, v in sorted(values.items()))
+
+
+def oracle_results(model):
+    for theta in THETAS:
+        sat1, sat2 = oracle_operand_sets(model, theta)
+        for grade in GRADES:
+            for mode in MODES:
+                r = oracle_optimum(model, theta, sat1, sat2, grade, mode)
+                witnesses = tuple(
+                    (q, sorted((p, sorted(e)) for p, e in s.removal.items()))
+                    for q, s in sorted(r.witnesses.items())
+                )
+                yield ("optimum", exact(r.values), witnesses)
+                if not isinstance(theta, (Until, Release)):
+                    yield ("step", exact(step_optimum(model, theta, sat1, sat2, grade, mode)))
 
 
 def star(rng, degree, cost, value):
@@ -210,6 +236,8 @@ def main() -> None:
     print(f"results {count} sha256 {hexdigest}")
     count, hexdigest = digest([formula_results(formula_texts())])
     print(f"formulas {count} sha256 {hexdigest}")
+    count, hexdigest = digest([oracle_results(m) for m in corpus(2024, 60)])
+    print(f"oracle {count} sha256 {hexdigest}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,14 @@ Everything here trades speed for certainty: probabilities come from the
 model's exact rationals, removal strategies are enumerated exhaustively,
 fixed-strategy probabilities are computed by finite unrolling or Gaussian
 elimination, and optima are pointwise extrema over the enumeration. Meant
-for desk-scale models; the enumeration refuses to run past a limit.
+for desk-scale models; the enumeration refuses to run past a limit, which
+counts the full strategy product.
+
+An optimum walks the removal options of its frame's undetermined states
+only; the other states keep the empty removal. No fixed-strategy value
+reads their rows, and the empty removal comes first in every state's
+options, so the values and the first-attaining witnesses are those of
+the full enumeration.
 """
 
 from __future__ import annotations
@@ -76,13 +83,23 @@ def cylinder_measure(model: Pots, prefix: Sequence[str]) -> Fraction:
 
 def removal_options(model: Pots, q: str, budget: int) -> list[tuple[Edge, ...]]:
     """All strict removal subsets at ``q`` within the budget, empty set
-    first, then by size and edge order."""
+    first, then by size and edge order.
+
+    Built one size at a time: each affordable set of size k + 1 extends an
+    affordable set of size k (costs are non-negative) by a later edge, so
+    the walk only ever touches sets that fit."""
     row = model.row(q)
-    options = []
-    for size in range(len(row.edges)):  # strict: never all of them
-        for combo in itertools.combinations(range(len(row.edges)), size):
-            if sum(row.costs[i] for i in combo) <= budget:
-                options.append(tuple(row.edges[i] for i in combo))
+    costs = row.costs
+    layer = [((), 0)]  # the affordable index sets of one size, with their cost
+    options = [()]
+    for _ in range(1, len(costs)):  # strict: never all of them
+        layer = [
+            (combo + (j,), spent + costs[j])
+            for combo, spent in layer
+            for j in range(combo[-1] + 1 if combo else 0, len(costs))
+            if spent + costs[j] <= budget
+        ]
+        options.extend(tuple(row.edges[i] for i in combo) for combo, _ in layer)
     return options
 
 
@@ -397,18 +414,29 @@ def oracle_optimum(
 ) -> OptimumResult:
     """Pointwise min or max of :func:`exact_prob` over every memoryless
     strategy of the grade, with the first strategy attaining each state's
-    optimum kept as witness. Strategies are walked in
-    :func:`enumerate_strategies` order, each as a choice of one surviving
-    row per state."""
+    optimum kept as witness. ``limit`` bounds the whole strategy product.
+
+    Only the frame's undetermined states have their removal options
+    walked; every other state keeps its first option, the empty removal.
+    :func:`_fixed_values` reads no other state's row, so strategies that
+    differ only there have equal values. The walk keeps
+    :func:`enumerate_strategies` order, each strategy a choice of one
+    surviving row per state, so the first strategy to reach a state's
+    optimum in the full product removes nothing outside the frame and is
+    the witness here too."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     states = model.states
+    frame = _frame(states, theta, sat1, sat2)
     per_state, _ = _per_state_options(model, budget, limit)
+    per_state = [
+        options if q in frame.undetermined else options[:1]
+        for q, options in zip(states, per_state)
+    ]
     per_state_rows = [
         [_survivors(model, q, removed) for removed in options]
         for q, options in zip(states, per_state)
     ]
-    frame = _frame(states, theta, sat1, sat2)
     best: dict[str, Fraction] = {}
     witness: dict[str, MemorylessStrategy] = {}
     for assignment, chosen in zip(

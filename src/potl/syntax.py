@@ -208,6 +208,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
+        # parse_state's outcome per start token: (formula or ParseError, end)
+        self.memo: dict[int, tuple[StateFormula | ParseError, int]] = {}
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -230,11 +232,24 @@ class _Parser:
     # and := unary ('&' unary)* ; unary := '!' unary | primary
 
     def parse_state(self) -> StateFormula:
-        left = self.parse_or()
-        if self.peek().kind == "arrow":
-            self.advance()
-            return Implies(left, self.parse_state())
-        return left
+        # memoized by start token, failures too: the parenthesis back-off in
+        # parse_path reads the same operand again, once per enclosing level
+        start = self.i
+        if start in self.memo:
+            outcome, self.i = self.memo[start]
+            if isinstance(outcome, ParseError):
+                raise outcome
+            return outcome
+        try:
+            out = self.parse_or()
+            if self.peek().kind == "arrow":
+                self.advance()
+                out = Implies(out, self.parse_state())
+        except ParseError as exc:
+            self.memo[start] = (exc, start)
+            raise
+        self.memo[start] = (out, self.i)
+        return out
 
     def parse_or(self) -> StateFormula:
         out = self.parse_and()

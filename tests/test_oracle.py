@@ -1,16 +1,21 @@
+import itertools
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from potl import oracle
 from potl.generate import corpus, random_pots
 from potl.model import ModelError, Pots, prune
 from potl.obstruction import MemorylessStrategy, empty_strategy
 from potl.oracle import (
     EnumerationLimit,
+    count_strategies,
     cylinder_measure,
     enumerate_strategies,
     exact_bounded_by_paths,
@@ -89,6 +94,56 @@ class TestEnumeration:
 
     def test_removal_options_start_with_empty(self, chain):
         assert removal_options(chain, "q", 1)[0] == ()
+
+
+def all_subsets_within(model, q, budget):
+    """Every strict subset of the row, filtered by cost afterwards."""
+    row = model.row(q)
+    return [
+        tuple(row.edges[i] for i in combo)
+        for size in range(len(row.edges))
+        for combo in itertools.combinations(range(len(row.edges)), size)
+        if sum(row.costs[i] for i in combo) <= budget
+    ]
+
+
+def fan(degree, cost):
+    """A hub with ``degree`` equally likely edges of one cost, each into a
+    self-looping state; the first is the goal."""
+    targets = [f"t{i}" for i in range(degree)]
+    return Pots.build(
+        ["hub"] + targets,
+        "hub",
+        [("hub", t, Fraction(1, degree), cost) for t in targets]
+        + [(t, t, 1, 0) for t in targets],
+        labels={"t0": ["goal"]},
+    )
+
+
+class TestRemovalOptions:
+    def test_only_affordable_sets_are_walked(self):
+        model = fan(30, 5)
+        start = time.perf_counter()
+        assert removal_options(model, "hub", 0) == [()]
+        result = oracle_optimum(
+            model, Until(TRUE, Atom("goal")), frozenset(model.states),
+            frozenset({"t0"}), 0, "min",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert result.values["hub"] == Fraction(1, 30)
+        assert len(removal_options(model, "hub", 10)) == 1 + 30 + 435
+
+    def test_order_and_sets_are_those_of_the_unpruned_list(self):
+        rng = random.Random(17)
+        models = corpus(2024, 200) + [
+            random_pots(rng, n_states=9, max_out_degree=8) for _ in range(10)
+        ]
+        for model in models:
+            for q in model.states:
+                for budget in (0, 1, 2, 4, 7):
+                    assert removal_options(model, q, budget) == all_subsets_within(
+                        model, q, budget
+                    )
 
 
 class TestExactProb:
@@ -336,18 +391,89 @@ class TestSurvivorRows:
         sat1, sat2 = label_sets(model)
         for grade in (0, 1, 2, 4):
             for mode in ("min", "max"):
-                better = (lambda v, w: v < w) if mode == "min" else (lambda v, w: v > w)
                 for theta in VIEW_THETAS:
-                    best, witness = {}, {}
-                    for strategy in enumerate_strategies(model, grade):
-                        values = exact_prob(model, strategy, theta, sat1, sat2)
-                        for q, v in values.items():
-                            if q not in best or better(v, best[q]):
-                                best[q] = v
-                                witness[q] = strategy
+                    best, witness = first_attaining(model, theta, sat1, sat2, grade, mode)
                     result = oracle_optimum(model, theta, sat1, sat2, grade, mode)
                     assert dict(result.values) == best
                     assert dict(result.witnesses) == witness
+
+
+def first_attaining(model, theta, sat1, sat2, grade, mode):
+    """The pointwise optimum over the full enumeration, each state's
+    witness the first strategy to attain it."""
+    better = (lambda v, w: v < w) if mode == "min" else (lambda v, w: v > w)
+    best, witness = {}, {}
+    for strategy in enumerate_strategies(model, grade):
+        values = exact_prob(model, strategy, theta, sat1, sat2)
+        for q, v in values.items():
+            if q not in best or better(v, best[q]):
+                best[q] = v
+                witness[q] = strategy
+    return best, witness
+
+
+# s0 and s1 carry a, g and h carry b, w carries both and x neither, so the
+# until frame is {s0, s1} and the release frame {g, h}. From grade 1 on,
+# every state has two to seven removal options; x's edges are free, so it
+# has three even at grade 0.
+FRAME_MODEL = Pots.build(
+    ["s0", "s1", "g", "h", "w", "x"],
+    "s0",
+    [
+        ("s0", "s1", Fraction(1, 2), 1),
+        ("s0", "g", Fraction(1, 4), 2),
+        ("s0", "x", Fraction(1, 4), 1),
+        ("s1", "s0", Fraction(1, 3), 1),
+        ("s1", "h", Fraction(2, 3), 1),
+        ("g", "h", Fraction(1, 2), 1),
+        ("g", "w", Fraction(1, 2), 2),
+        ("h", "g", Fraction(1, 2), 1),
+        ("h", "h", Fraction(1, 2), 2),
+        ("w", "w", Fraction(1, 2), 1),
+        ("w", "s1", Fraction(1, 2), 1),
+        ("x", "x", Fraction(1, 2), 0),
+        ("x", "s0", Fraction(1, 2), 0),
+    ],
+    labels={"s0": ["a"], "s1": ["a"], "g": ["b"], "h": ["b"], "w": ["a", "b"]},
+)
+FRAMES = {
+    Until(Atom("a"), Atom("b")): ("s0", "s1"),
+    Release(Atom("a"), Atom("b")): ("g", "h"),
+}
+
+
+class TestFrameWalk:
+    """An optimum walks only the removal options of its frame's
+    undetermined states; the others keep the empty removal."""
+
+    @pytest.mark.parametrize("theta", FRAMES, ids=("U", "R"))
+    def test_one_evaluation_per_choice_inside_the_frame(self, theta, monkeypatch):
+        calls = []
+        evaluate = oracle._fixed_values
+        monkeypatch.setattr(
+            oracle, "_fixed_values", lambda *args: calls.append(1) or evaluate(*args)
+        )
+        sat1, sat2 = label_sets(FRAME_MODEL)
+        for grade in (0, 1, 2, 4):
+            for mode in ("min", "max"):
+                calls.clear()
+                oracle_optimum(FRAME_MODEL, theta, sat1, sat2, grade, mode)
+                assert len(calls) == math.prod(
+                    len(removal_options(FRAME_MODEL, q, grade)) for q in FRAMES[theta]
+                )
+                assert len(calls) < count_strategies(FRAME_MODEL, grade)
+
+    @pytest.mark.parametrize("theta", FRAMES, ids=("U", "R"))
+    def test_optimum_is_that_of_the_full_enumeration(self, theta):
+        sat1, sat2 = label_sets(FRAME_MODEL)
+        for grade in (0, 1, 2, 4):
+            for mode in ("min", "max"):
+                best, witness = first_attaining(FRAME_MODEL, theta, sat1, sat2, grade, mode)
+                result = oracle_optimum(FRAME_MODEL, theta, sat1, sat2, grade, mode)
+                assert dict(result.values) == best
+                assert dict(result.witnesses) == witness
+                for strategy in result.witnesses.values():
+                    assert set(strategy.removal) <= set(FRAMES[theta])
 
 
 class TestFormulaLevel:

@@ -4,6 +4,7 @@ import operator
 import pathlib
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from potl.syntax import (
     Release,
     StateFormula,
     Until,
+    _Parser,
     formula_size,
     parse,
     parse_path_formula,
@@ -128,6 +130,85 @@ class TestParse:
     def test_keywords_are_not_atoms(self):
         with pytest.raises(ParseError):
             parse("U")
+
+
+class _Forgetful(dict):
+    """A parse memo that never stores: every operand is parsed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def parse_without_memo(text):
+    parser = _Parser(text)
+    parser.memo = _Forgetful()
+    formula = parser.parse_state()
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+    return formula
+
+
+def outcome(parse_fn, text):
+    try:
+        return repr(parse_fn(text))
+    except ParseError as exc:
+        return str(exc)
+
+
+def nested_operands(level, inner="a"):
+    """``<<1 < 0.5>> (q) U b`` wrapped ``level`` times around ``inner``:
+    each level's operand is parenthesized, so the parenthesis back-off in
+    ``parse_path`` meets it once per enclosing level."""
+    text, tree = inner, Atom("a")
+    for _ in range(level):
+        text = f"<<1 < 0.5>> ({text}) U b"
+        tree = ObstructQuery(1, "<", Fraction(1, 2), Until(tree, Atom("b")))
+    return text, tree
+
+
+class TestBackOff:
+    """The parser tries a parenthesis as a path formula first and backs off
+    to a state operand; each operand is parsed once per start token."""
+
+    def test_deep_parenthesized_operands_parse_at_once(self):
+        text, tree = nested_operands(40)
+        start = time.perf_counter()
+        phi = parse(text)
+        assert time.perf_counter() - start < 0.5
+        assert repr(phi) == repr(tree)
+
+    def test_deep_malformed_operands_fail_at_once(self):
+        text, _ = nested_operands(40, "a U")
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="position 522"):
+            parse(text)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_memo_gives_the_unmemoized_parse(self, level):
+        text, _ = nested_operands(level)
+        assert repr(parse(text)) == repr(parse_without_memo(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            nested_operands(6, "a U")[0],
+            nested_operands(6, "(a)) U (b")[0],
+            nested_operands(6, "((a U b))")[0],
+            nested_operands(6)[0] + " extra",
+            "<<1 < 0.5>> ((((a)))) U b",
+            "<<1 < 0.5>> ((((a U b))))",
+            "((((a U b))))",
+            "<<1 < 0.5>> (a -> (b) U c",
+        ],
+    )
+    def test_memo_gives_the_unmemoized_outcome(self, text):
+        assert outcome(parse, text) == outcome(parse_without_memo, text)
+
+    def test_memo_keeps_every_outcome_on_the_digest_texts(self):
+        for text in formula_texts(seed=7, count=300):
+            assert repr(parse(text)) == repr(parse_without_memo(text))
 
 
 class TestDesugar:
