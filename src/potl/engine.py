@@ -8,7 +8,8 @@ undetermined states serves all five operators: next is one sweep, the
 step-bounded operators are k sweeps, and unbounded until and release
 repeat it to a fixed point, either with the optimizer as the step (value
 iteration) or with a fixed policy's row sums as the step (the power
-method inside policy iteration).
+method inside policy iteration). The sweeps run on two value buffers
+that swap roles after each sweep, so no vector is copied per sweep.
 
 Measure convention: pruned probability mass vanishes, nothing is
 renormalized, and release is never complemented through until.
@@ -83,10 +84,6 @@ def _clamp(x: float) -> float:
     if x > 1.0:
         return 1.0 if x - 1.0 < NEG_CLAMP else x
     return x
-
-
-def clamp_vector(values: dict[str, float]) -> dict[str, float]:
-    return {q: _clamp(v) for q, v in values.items()}
 
 
 @dataclass
@@ -176,25 +173,38 @@ def _iterate(
 ) -> dict[str, float]:
     """Jacobi sweeps over the frame's undetermined states, from its start:
     ``sweeps`` of them or, when ``sweeps`` is None, until no value moves by
-    epsilon or more. Either way at most ``opts.max_iterations`` sweeps run."""
+    epsilon or more. Either way at most ``opts.max_iterations`` sweeps run.
+
+    Two value buffers, both copied once from the start, swap roles after
+    every sweep: a sweep reads one and overwrites the other's undetermined
+    entries, and the pinned entries are never written. ``frame.start``
+    itself is left as it was, since policy iteration starts every round
+    from it."""
     if sweeps is not None and sweeps > opts.max_iterations:
         raise ConvergenceError(
             f"step bound {sweeps} exceeds the limit of {opts.max_iterations} iterations"
         )
-    x = frame.start
-    for _ in range(opts.max_iterations if sweeps is None else sweeps):
-        nxt = dict(x)
+    undetermined = frame.undetermined
+    x, nxt = dict(frame.start), dict(frame.start)
+    if sweeps is not None:
+        # a step bound fixes the sweep count, so no residual is taken
+        for _ in range(sweeps):
+            for q in undetermined:
+                nxt[q] = step(q, x)
+            x, nxt = nxt, x
+        if stats is not None:
+            stats.iterations += sweeps
+        return x
+    for _ in range(opts.max_iterations):
         delta = 0.0
-        for q in frame.undetermined:
+        for q in undetermined:
             v = nxt[q] = step(q, x)
             delta = max(delta, abs(v - x[q]))
-        x = nxt
+        x, nxt = nxt, x
         if stats is not None:
             stats.iterations += 1
-        if sweeps is None and delta < opts.epsilon:
+        if delta < opts.epsilon:
             return x
-    if sweeps is not None:
-        return x
     raise ConvergenceError(f"no convergence within {opts.max_iterations} iterations")
 
 
@@ -247,7 +257,10 @@ def _optimum(
     else:
         step = _optimal_step(model, budget, mode)
         x = _iterate(frame, frame.sweeps, step, opts, stats)
-    return clamp_vector(x)
+    # pinned entries are exactly 0.0 or 1.0, which the clamp keeps
+    for q in frame.undetermined:
+        x[q] = _clamp(x[q])
+    return x
 
 
 # -- the five operators -----------------------------------------------------------
@@ -496,7 +509,7 @@ def _sat(
     if isinstance(phi, FalseConst):
         return frozenset()
     if isinstance(phi, Atom):
-        out = frozenset(q for q in states if phi.name in model.label_of(q))
+        out = frozenset(q for q, props in model.labels.items() if phi.name in props)
         if not out and phi.name not in model.alphabet():
             message = f"atom {phi.name!r} not in the model's label alphabet"
             if message not in stats.warnings:
@@ -525,8 +538,12 @@ def _decide_query(
     values = _dispatch_path(model, phi.body, sat1, sat2, phi.grade, phi.mode, opts, stats)
     threshold = float(phi.threshold)
     out = set()
+    verdicts: dict[float, bool] = {}  # many states share a value
     for q, v in values.items():
-        if phi.holds(v):
+        holds = verdicts.get(v)
+        if holds is None:
+            holds = verdicts[v] = phi.holds(v)
+        if holds:
             out.add(q)
         if abs(v - threshold) < 10 * opts.epsilon:
             message = (

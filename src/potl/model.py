@@ -47,8 +47,10 @@ class Pots:
     an integer removal cost per edge.
 
     Instances are immutable after construction and safe to share between
-    concurrent queries. Construction does not enforce the semantic
-    invariants (stochasticity, seriality); see :func:`validate`.
+    concurrent queries. Construction rejects duplicate states and edges or
+    labels on undeclared states, so ``labels`` holds declared states only;
+    it does not enforce the semantic invariants (stochasticity,
+    seriality); see :func:`validate`.
     """
 
     states: tuple[str, ...]
@@ -66,6 +68,9 @@ class Pots:
         index = {q: i for i, q in enumerate(self.states)}
         if len(index) != len(self.states):
             raise ModelError("duplicate state identifiers")
+        for q in self.labels:
+            if q not in index:
+                raise ModelError(f"label for unknown state {q!r}")
         outgoing: dict[str, list] = {q: [] for q in self.states}
         pred: dict[str, list[str]] = {q: [] for q in self.states}
         trans_float = {}
@@ -125,9 +130,6 @@ class Pots:
             prob[e] = value
             cost[e] = int(c)
         lab = {q: frozenset(v) for q, v in (labels or {}).items()}
-        for q in lab:
-            if q not in states:
-                raise ModelError(f"label for unknown state {q!r}")
         return cls(states=states, initial=initial, prob=prob, labels=lab, cost=cost)
 
     # -- adjacency queries ------------------------------------------------
@@ -147,8 +149,10 @@ class Pots:
     def row(self, q: str) -> Row:
         """The outgoing edges of ``q`` with their costs and exact float
         probabilities; built once, with the model."""
-        self._check_state(q)
-        return self._rows[q]
+        try:
+            return self._rows[q]
+        except KeyError:
+            raise ModelError(f"unknown state identifier {q!r}") from None
 
     def pred(self, q: str) -> tuple[str, ...]:
         self._check_state(q)

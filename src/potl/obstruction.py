@@ -253,23 +253,27 @@ def best_removal(
         # rounded exact product
         ((pn, pd),) = row.ratios
         return (), pn / pd * value[row.succ[0]]
-    # weight i is nums[i] / dens[i], every denominator a power of two;
-    # scaled onto the largest of them, the weights are integers
+    # weight i is nums[i] / 2**(sizes[i] - 2), from pd * vd with both
+    # factors powers of two; shifted onto the largest denominator, the
+    # weights are integers
     nums = []
-    dens = []
+    sizes = []
     for r, (pn, pd) in zip(row.succ, row.ratios):
         vn, vd = value[r].as_integer_ratio()
         nums.append(pn * vn)
-        dens.append(pd * vd)
-    den = max(dens, default=1)
-    weights = [n * (den // d) for n, d in zip(nums, dens)]
+        sizes.append(pd.bit_length() + vd.bit_length())
+    top = max(sizes, default=2)
+    weights = [n << (top - s) for n, s in zip(nums, sizes)]
     total = sum(weights)
     options = _options(costs, budget)
     if options is None:
         removed_w, chosen = _strict_knapsack(weights, costs, budget)
     else:
         removed_w, chosen = _heaviest(weights, options)
-    return tuple(row.edges[i] for i in chosen), (total - removed_w) / den
+    survived = (total - removed_w) / (1 << (top - 2))
+    if not chosen:
+        return (), survived
+    return tuple([row.edges[i] for i in chosen]), survived
 
 
 # -- strategy file format -----------------------------------------------------

@@ -103,21 +103,32 @@ def removal_options(model: Pots, q: str, budget: int) -> list[tuple[Edge, ...]]:
     return options
 
 
-def _per_state_options(
-    model: Pots, budget: int, limit: float = math.inf
-) -> tuple[list[list[tuple[Edge, ...]]], int]:
-    """Each state's removal options in state order, and the number of
-    strategies they combine into; raises :class:`EnumerationLimit` when
-    that number exceeds ``limit``."""
-    per_state = [removal_options(model, q, budget) for q in model.states]
-    count = math.prod(map(len, per_state))
-    if count > limit:
-        raise EnumerationLimit(count, limit)
-    return per_state, count
+def _option_count(costs: Sequence[int], budget: int) -> int:
+    """``len(removal_options(...))`` for a row of these costs, without
+    listing the sets: the number of affordable index sets, counted by the
+    cost they spend, less the full set when it fits (strictness). A row
+    without edges keeps its one option, the empty removal."""
+    sets_by_cost = {0: 1}
+    for c in costs:
+        for spent, n in list(sets_by_cost.items()):
+            if spent + c <= budget:
+                sets_by_cost[spent + c] = sets_by_cost.get(spent + c, 0) + n
+    full_fits = len(costs) > 0 and sum(costs) <= budget
+    return sum(sets_by_cost.values()) - full_fits
 
 
 def count_strategies(model: Pots, budget: int) -> int:
-    return _per_state_options(model, budget)[1]
+    """The number of memoryless strategies of the grade: the product of
+    every state's option count."""
+    return math.prod(_option_count(model.row(q).costs, budget) for q in model.states)
+
+
+def _check_limit(model: Pots, budget: int, limit: int) -> None:
+    """Raise :class:`EnumerationLimit` when the full strategy product
+    exceeds ``limit``."""
+    count = count_strategies(model, budget)
+    if count > limit:
+        raise EnumerationLimit(count, limit)
 
 
 def _strategy(
@@ -135,7 +146,8 @@ def enumerate_strategies(
     """Every memoryless strategy of the given grade, as the cartesian
     product of per-state removal options. Raises :class:`EnumerationLimit`
     up front when the product is too large."""
-    per_state, _ = _per_state_options(model, budget, limit)
+    _check_limit(model, budget, limit)
+    per_state = [removal_options(model, q, budget) for q in model.states]
     for assignment in itertools.product(*per_state):
         yield _strategy(model, budget, assignment)
 
@@ -428,10 +440,10 @@ def oracle_optimum(
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     states = model.states
     frame = _frame(states, theta, sat1, sat2)
-    per_state, _ = _per_state_options(model, budget, limit)
+    _check_limit(model, budget, limit)
     per_state = [
-        options if q in frame.undetermined else options[:1]
-        for q, options in zip(states, per_state)
+        removal_options(model, q, budget) if q in frame.undetermined else [()]
+        for q in states
     ]
     per_state_rows = [
         [_survivors(model, q, removed) for removed in options]

@@ -218,6 +218,30 @@ class TestEnumerationLimit:
         assert exc.value.code == 2
         assert "must be positive" in capsys.readouterr().err
 
+    def test_free_edges_of_a_pinned_state_count_toward_the_limit(self, capsys, tmp_path):
+        # goal is pinned to 1 for F goal, so the walk evaluates one strategy,
+        # but the limit counts the 2**20 - 1 removal options of its free edges
+        targets = [f"t{i}" for i in range(20)]
+        edges = [
+            {"from": "s", "to": "goal", "prob": "0.5", "cost": 1},
+            {"from": "s", "to": "t0", "prob": "0.5", "cost": 1},
+        ]
+        edges += [{"from": "goal", "to": t, "prob": "0.05", "cost": 0} for t in targets]
+        edges += [{"from": t, "to": t, "prob": "1", "cost": 0} for t in targets]
+        model = tmp_path / "free.json"
+        model.write_text(json.dumps(
+            {"states": ["s", "goal", *targets], "initial": "s",
+             "labels": {"goal": ["goal"]}, "edges": edges}
+        ))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "oracle", "--model", str(model), "--path", "F goal", "--grade", "0"
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 5
+        assert out == ""
+        assert "1048575 strategies exceed the enumeration limit of 1000000" in err
+
 
 class TestProb:
     def test_chain_min_probabilities(self, capsys, chain_path):

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from potl import engine
 from potl.engine import (
     ConvergenceError,
     EngineOptions,
@@ -23,7 +25,7 @@ from potl.engine import (
     synthesize,
     Stats,
 )
-from potl.generate import random_pots
+from potl.generate import random_pots, scaling_model
 from potl.model import Pots
 from potl.obstruction import MemorylessStrategy, validate_strategy
 from potl.oracle import exact_prob, oracle_optimum, oracle_sat
@@ -410,6 +412,49 @@ class TestInvariantProperties:
                 previous = current
             for q in model.states:
                 assert abs(previous[q] - unbounded[q]) <= 2e-10 + 1e-9
+
+
+class TestSweepContract:
+    """Every min-mode sweep calls the optimizer once per undetermined state,
+    and no sweep writes the frame's start values."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = engine.best_removal
+
+        def counting(model, q, budget, value):
+            calls.append(q)
+            return original(model, q, budget, value)
+
+        monkeypatch.setattr(engine, "best_removal", counting)
+        return calls
+
+    @pytest.mark.parametrize("op", [BoundedUntil, BoundedRelease])
+    @pytest.mark.parametrize("bound", [1, 2, 7])
+    def test_one_call_per_undetermined_state_per_sweep(self, counted, op, bound):
+        model = scaling_model(200)
+        sat1, sat2 = label_sets(model)
+        undetermined = engine._frame(model, op, sat1, sat2, bound).undetermined
+        assert undetermined
+        path_values(model, op(Atom("a"), Atom("b"), bound), 2, "min")
+        assert len(counted) == bound * len(undetermined)
+        assert Counter(counted) == {q: bound for q in undetermined}
+
+    @pytest.mark.parametrize("op", [BoundedUntil, Until, Release])
+    def test_sweeps_leave_the_start_values_alone(self, op):
+        model = scaling_model(200)
+        sat1, sat2 = label_sets(model)
+        frame = engine._frame(model, op, sat1, sat2, 6 if op is BoundedUntil else None)
+        before = dict(frame.start)
+        step = engine._optimal_step(model, 2, "min")
+        x = engine._iterate(frame, frame.sweeps, step, EngineOptions(), None)
+        assert frame.start == before
+        assert x != before
+        if frame.sweeps is None:
+            y = engine._policy_iteration(model, frame, 2, EngineOptions(solver="pi"), None)
+            assert frame.start == before
+            assert max(abs(x[q] - y[q]) for q in model.states) < 1e-8
 
 
 class TestFixedAndSynthesis:

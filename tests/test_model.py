@@ -106,6 +106,18 @@ class TestAdjacency:
         with pytest.raises(ModelError):
             two_state().row("nope")
 
+    def test_label_on_undeclared_state_rejected(self):
+        with pytest.raises(ModelError, match="label for unknown state 'ghost'"):
+            Pots(
+                states=("a",),
+                initial="a",
+                prob={("a", "a"): Fraction(1)},
+                labels={"a": frozenset({"p"}), "ghost": frozenset({"p"})},
+                cost={("a", "a"): 0},
+            )
+        with pytest.raises(ModelError, match="label for unknown state 'ghost'"):
+            Pots.build(["a"], "a", [("a", "a", 1, 0)], {"ghost": ["p"]})
+
     def test_attack_graph_successors(self, attack_graph):
         assert {"S2", "S3"} <= set(attack_graph.succ("S1"))
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from potl import oracle
 from potl.generate import corpus, random_pots
-from potl.model import ModelError, Pots, prune
+from potl.model import ModelError, Pots, edges_of, prune
 from potl.obstruction import MemorylessStrategy, empty_strategy
 from potl.oracle import (
     EnumerationLimit,
@@ -144,6 +144,60 @@ class TestRemovalOptions:
                     assert removal_options(model, q, budget) == all_subsets_within(
                         model, q, budget
                     )
+
+
+def free_goal(degree):
+    """s splits between goal and a sink; goal, pinned to 1 for ``F goal``,
+    has ``degree`` free edges into self-looping states."""
+    targets = [f"t{i}" for i in range(degree)]
+    return Pots.build(
+        ["s", "goal", *targets],
+        "s",
+        [("s", "goal", Fraction(1, 2), 1), ("s", "t0", Fraction(1, 2), 1)]
+        + [("goal", t, Fraction(1, degree), 0) for t in targets]
+        + [(t, t, 1, 0) for t in targets],
+        labels={"goal": ["goal"]},
+    )
+
+
+class TestOptionCounts:
+    def test_pinned_state_options_are_counted_not_listed(self):
+        model = free_goal(18)
+        start = time.perf_counter()
+        result = oracle_optimum(
+            model, Until(TRUE, Atom("goal")), frozenset(model.states),
+            frozenset({"goal"}), 0, "min",
+        )
+        assert time.perf_counter() - start < 0.1
+        assert result.values["s"] == Fraction(1, 2)
+        assert count_strategies(model, 0) == 2**18 - 1
+
+    def test_limit_still_counts_the_full_product(self):
+        model = free_goal(20)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimit) as exc:
+            oracle_optimum(
+                model, Until(TRUE, Atom("goal")), frozenset(model.states),
+                frozenset({"goal"}), 0, "min",
+            )
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == (
+            "1048575 strategies exceed the enumeration limit of 1000000"
+        )
+
+    def test_counts_equal_the_listed_options(self):
+        rng = random.Random(23)
+        models = corpus(2024, 200) + [
+            random_pots(rng, n_states=9, max_out_degree=8) for _ in range(10)
+        ]
+        # a state without edges keeps its one option
+        first = models[0]
+        models.append(prune(first, edges_of(first, first.states[0])))
+        for model in models:
+            for budget in (0, 1, 2, 4, 7):
+                assert count_strategies(model, budget) == math.prod(
+                    len(removal_options(model, q, budget)) for q in model.states
+                )
 
 
 class TestExactProb:
