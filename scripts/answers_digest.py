@@ -28,17 +28,30 @@ values and witnesses for all five operators, and ``step_optimum`` values
 for X, U<=3 and R<=3, on ``corpus(2024, 60)`` at grades {0, 1, 2, 4} in
 both modes; rationals enter as ``num/den``.
 
+A fourth line identifies the command line: the exit code, stdout and
+stderr of ``potl.cli.main`` on each argv of ``cli_argvs()``, on the
+models in ``models/``. The list covers all six subcommands, human and
+``--json`` output, and every exit code from 0 to 5; a temporary
+directory holds the strategy and formula files, and its path enters the
+digest as ``TMP``.
+
     PYTHONHASHSEED=0 python scripts/answers_digest.py
 """
 
+import contextlib
 import hashlib
+import io
+import os
 import pathlib
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
+from potl.cli import main as cli_main
 from potl.engine import (
     EngineOptions,
     Stats,
@@ -218,6 +231,87 @@ def formula_results(texts):
         yield (repr(phi), print_state(phi), formula_size(phi))
 
 
+CHAIN, ATTACK = "models/chain.json", "models/attack-graph.json"
+
+
+def cli_argvs(tmp):
+    """Command lines over the shipped models; ``tmp`` is a directory that
+    holds ``phi.potl`` and receives ``s.json`` from the synthesize runs."""
+    strategy, phi = f"{tmp}/s.json", f"{tmp}/phi.potl"
+    check = ["check", "--model", ATTACK, "--formula"]
+    return [
+        check + ["<<4 < 0.1>> F (r2 | r3)"],
+        check + ["<<4 < 0.1>> F (r2 | r3)", "--json"],
+        check + ["<<1 <= 0.9>> G (!r3 | <<4 < 0.1>> F r2)", "--solver", "pi", "--json"],
+        check + ["r2 & r3"],
+        check + ["<<0 > 0.5>> X r9", "--json"],
+        check + ["(("],
+        check + ["<<0 < 0.5>> F r3", "--epsilon", "0"],
+        check + ["<<0 < 0.5>> F r3", "--max-iterations", "1"],
+        ["check", "--model", ATTACK, "--formula-file", phi, "--json"],
+        ["check", "--model", CHAIN, "--formula", "<<1 < 0.5>> F<=100000000 goal",
+         "--max-iterations", "5"],
+        ["check", "--model", "models/README.md", "--formula", "true"],
+        ["check", "--formula", "true"],
+        ["prob", "--model", CHAIN, "--path", "F goal", "--grade", "1"],
+        ["prob", "--model", ATTACK, "--path", "true U<=4 r3", "--mode", "max", "--json"],
+        ["prob", "--model", ATTACK, "--path", "F r3", "--grade", "5", "--state", "S1"],
+        ["prob", "--model", ATTACK, "--path", "F r3", "--state", "nope"],
+        ["prob", "--model", ATTACK, "--path", "r3"],
+        ["prob", "--model", ATTACK, "--path", "F r3", "--grade", "-1"],
+        ["prob", "--model", ATTACK, "--path", "F r3", "--max-iterations", "2"],
+        ["synthesize", "--model", ATTACK, "--path", "F r3", "--grade", "5", "-o", strategy],
+        ["synthesize", "--model", CHAIN, "--path", "X goal", "--grade", "1", "--json"],
+        ["synthesize", "--model", ATTACK, "--path", "G !r3", "--grade", "3",
+         "--max-iterations", "3"],
+        ["prob", "--model", ATTACK, "--path", "F r3", "--strategy", strategy, "--json"],
+        ["validate", "--model", ATTACK],
+        ["validate", "--model", CHAIN, "--json"],
+        ["validate", "--model", "models/missing.json"],
+        ["oracle", "--model", ATTACK, "--formula", "<<5 < 0.2>> F r3"],
+        ["oracle", "--model", ATTACK, "--formula", "<<4 < 0.1>> F (r2 | r3)", "--json"],
+        ["oracle", "--model", ATTACK, "--formula", "r2 | <<1 >= 0.5>> X (r2 | r3)", "--json"],
+        ["oracle", "--model", ATTACK, "--path", "F r3", "--grade", "5"],
+        ["oracle", "--model", ATTACK, "--path", "X r2", "--grade", "1", "--json"],
+        ["oracle", "--model", ATTACK, "--path", "r2 R !r3", "--mode", "max", "--json"],
+        ["oracle", "--model", ATTACK, "--path", "true U<=3 r3", "--grade", "3", "--json"],
+        ["oracle", "--model", ATTACK, "--path", "F r3", "--strategy", strategy, "--json"],
+        ["oracle", "--model", ATTACK, "--path", "F r3", "--grade", "5", "--limit", "2"],
+        ["oracle", "--model", ATTACK, "--path", "F r3", "--limit", "0"],
+        ["oracle", "--model", ATTACK, "--formula", "<<5 < 0.2>> F r3", "--limit", "2"],
+        ["conformance", "--model", ATTACK, "--path", "true U r3", "--grade", "4"],
+        ["conformance", "--model", CHAIN, "--path", "false R goal", "--grade", "1", "--json"],
+        ["conformance", "--model", ATTACK, "--path", "true U<=3 r3", "--grade", "1"],
+        ["conformance", "--model", ATTACK, "--path", "F r3", "--grade", "5", "--limit", "2"],
+    ]
+
+
+def cli_results():
+    """Exit code, stdout and stderr of each of ``cli_argvs``, run in-process
+    from the repository root with an 80-column usage text."""
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    os.chdir(ROOT)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            pathlib.Path(tmp, "phi.potl").write_text("<<5 < 0.2>> F r3\n")
+            for argv in cli_argvs(tmp):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli_main(argv)
+                    except SystemExit as exc:  # argparse rejects the command line
+                        code = exc.code
+                texts = (" ".join(argv), out.getvalue(), err.getvalue())
+                yield (code, *(t.replace(tmp, "TMP") for t in texts))
+    finally:
+        os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+
+
 def digest(streams):
     """Result count and sha256 over the reprs of every result, in order."""
     sha = hashlib.sha256()
@@ -238,6 +332,8 @@ def main() -> None:
     print(f"formulas {count} sha256 {hexdigest}")
     count, hexdigest = digest([oracle_results(m) for m in corpus(2024, 60)])
     print(f"oracle {count} sha256 {hexdigest}")
+    count, hexdigest = digest([cli_results()])
+    print(f"cli {count} sha256 {hexdigest}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ too wide for the removal optimizer, a strategy file that cannot be
 written, and input nested deeper than Python's recursion limit; 3 invalid
 model; 4 no convergence, or a step bound above the maximum iteration
 count; 5 oracle enumeration too large.
+
+``main`` owns the exit-code table: the commands raise, and ``main`` maps
+``_CliError`` to its code and the engine's, oracle's and optimizer's
+exceptions through ``_EXIT_CODES``. Flags must be spelled out in full.
 """
 
 from __future__ import annotations
@@ -65,13 +69,17 @@ def _rational_text(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _load_valid_model(path: str) -> Pots:
+def _load_model(path: str) -> Pots:
     try:
-        model = load_model(path)
+        return load_model(path)
     except OSError as exc:
         raise _CliError(f"cannot read model: {exc}", EXIT_BAD_MODEL)
     except ModelError as exc:
         raise _CliError(f"invalid model: {exc}", EXIT_BAD_MODEL)
+
+
+def _load_valid_model(path: str) -> Pots:
+    model = _load_model(path)
     report = validate(model)
     if report:
         raise _CliError(
@@ -143,10 +151,7 @@ def _cmd_check(args) -> int:
     model = _load_valid_model(args.model)
     phi = _read_formula(args)
     opts = _engine_options(args)
-    try:
-        result = engine.check(model, phi, opts)
-    except ConvergenceError as exc:
-        raise _CliError(str(exc), EXIT_NO_CONVERGENCE)
+    result = engine.check(model, phi, opts)
     satisfied = model.initial in result.sat
     lines = [
         f"formula:   {result.formula}",
@@ -168,25 +173,22 @@ def _cmd_prob(args) -> int:
     model = _load_valid_model(args.model)
     theta = _read_path(args)
     opts = _engine_options(args)
-    try:
-        if args.strategy is not None:
-            strategy = _load_strategy_for(model, args.strategy)
-            stats = engine.Stats()
-            sat1, sat2 = engine.operand_sets(model, theta, opts, stats)
-            values = engine.prob_fixed(model, strategy, theta, sat1, sat2, opts, stats)
-            result = engine.CheckResult(
-                formula=print_path(theta),
-                sat=frozenset(),
-                values=values,
-                mode="fixed",
-                grade=strategy.grade,
-                iterations=stats.iterations,
-                warnings=stats.warnings,
-            )
-        else:
-            result = engine.check_path(model, theta, args.grade, args.mode, opts)
-    except ConvergenceError as exc:
-        raise _CliError(str(exc), EXIT_NO_CONVERGENCE)
+    if args.strategy is not None:
+        strategy = _load_strategy_for(model, args.strategy)
+        stats = engine.Stats()
+        sat1, sat2 = engine.operand_sets(model, theta, opts, stats)
+        values = engine.prob_fixed(model, strategy, theta, sat1, sat2, opts, stats)
+        result = engine.CheckResult(
+            formula=print_path(theta),
+            sat=frozenset(),
+            values=values,
+            mode="fixed",
+            grade=strategy.grade,
+            iterations=stats.iterations,
+            warnings=stats.warnings,
+        )
+    else:
+        result = engine.check_path(model, theta, args.grade, args.mode, opts)
     values = result.values or {}
     if args.state is not None:
         if args.state not in model.states:
@@ -221,14 +223,9 @@ def _cmd_synthesize(args) -> int:
     model = _load_valid_model(args.model)
     theta = _read_path(args)
     opts = _engine_options(args)
-    if args.mode != "min":
-        raise _CliError("synthesis targets the minimizing player; use --mode min", EXIT_USAGE)
     stats = engine.Stats()
-    try:
-        sat1, sat2 = engine.operand_sets(model, theta, opts, stats)
-        strategy, values = engine.synthesize(model, theta, sat1, sat2, args.grade, opts, stats)
-    except ConvergenceError as exc:
-        raise _CliError(str(exc), EXIT_NO_CONVERGENCE)
+    sat1, sat2 = engine.operand_sets(model, theta, opts, stats)
+    strategy, values = engine.synthesize(model, theta, sat1, sat2, args.grade, opts, stats)
     if args.output is not None:
         try:
             save_strategy(strategy, args.output)
@@ -255,12 +252,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        model = load_model(args.model)
-    except OSError as exc:
-        raise _CliError(f"cannot read model: {exc}", EXIT_BAD_MODEL)
-    except ModelError as exc:
-        raise _CliError(f"invalid model: {exc}", EXIT_BAD_MODEL)
+    model = _load_model(args.model)
     report = validate(model)
     payload = {"model": args.model, "violations": report}
     lines = (
@@ -274,75 +266,62 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     model = _load_valid_model(args.model)
-    try:
-        if args.formula is not None:
-            phi = _read_formula(args)
-            satisfied = oracle.oracle_sat(model, phi, args.limit)
-            payload = {
-                "formula": print_state(phi),
-                "sat": sorted(satisfied),
-                "initial": model.initial,
-                "satisfied": model.initial in satisfied,
-            }
-            if isinstance(phi, ObstructQuery):
-                values = oracle.oracle_query_values(model, phi, args.limit)
-                payload["mode"] = phi.mode
-                payload["grade"] = phi.grade
-                payload["values"] = {
-                    q: _rational_text(v) for q, v in sorted(values.items())
-                }
-            lines = [
-                f"formula:   {payload['formula']}",
-                f"sat:       {{{', '.join(payload['sat'])}}}",
-                f"initial:   {model.initial} "
-                f"{'satisfies' if payload['satisfied'] else 'does not satisfy'}",
-            ]
-            if "values" in payload:
-                lines += [f"{q}: {t}" for q, t in payload["values"].items()]
-            _emit(args, payload, lines)
-            return 0
-        theta = _read_path(args)
-        sat1, sat2 = oracle.operand_sets(model, theta, args.limit)
-        if args.strategy is not None:
-            strategy = _load_strategy_for(model, args.strategy)
-            values = oracle.exact_prob(model, strategy, theta, sat1, sat2)
-            payload = {
-                "formula": print_path(theta),
-                "mode": "fixed",
-                "grade": strategy.grade,
+    if args.formula is not None:
+        phi = _read_formula(args)
+        query = {}
+        if isinstance(phi, ObstructQuery):
+            values = oracle.oracle_query_values(model, phi, args.limit)
+            satisfied = frozenset(q for q, v in values.items() if phi.holds(v))
+            query = {
+                "mode": phi.mode,
+                "grade": phi.grade,
                 "values": {q: _rational_text(v) for q, v in sorted(values.items())},
-            }
-        elif isinstance(theta, (Next, Until, Release)):
-            result = oracle.oracle_optimum(
-                model, theta, sat1, sat2, args.grade, args.mode, args.limit
-            )
-            payload = {
-                "formula": print_path(theta),
-                "mode": args.mode,
-                "grade": args.grade,
-                "values": {
-                    q: _rational_text(v) for q, v in sorted(result.values.items())
-                },
-                "witnesses": {
-                    q: json.loads(strategy_to_json(w))["removal"]
-                    for q, w in sorted(result.witnesses.items())
-                },
             }
         else:
-            # bounded operators: exact optimum with per-step re-choice
-            values = oracle.step_optimum(model, theta, sat1, sat2, args.grade, args.mode)
-            payload = {
-                "formula": print_path(theta),
-                "mode": args.mode,
-                "grade": args.grade,
-                "values": {q: _rational_text(v) for q, v in sorted(values.items())},
-            }
-        lines = [f"path:      {payload['formula']}"]
-        lines += [f"{q}: {t}" for q, t in payload["values"].items()]
+            satisfied = oracle.oracle_sat(model, phi, args.limit)
+        payload = {
+            "formula": print_state(phi),
+            "sat": sorted(satisfied),
+            "initial": model.initial,
+            "satisfied": model.initial in satisfied,
+            **query,
+        }
+        lines = [
+            f"formula:   {payload['formula']}",
+            f"sat:       {{{', '.join(payload['sat'])}}}",
+            f"initial:   {model.initial} "
+            f"{'satisfies' if payload['satisfied'] else 'does not satisfy'}",
+        ]
+        lines += [f"{q}: {t}" for q, t in query.get("values", {}).items()]
         _emit(args, payload, lines)
         return 0
-    except oracle.EnumerationLimit as exc:
-        raise _CliError(str(exc), EXIT_ORACLE_LIMIT)
+    theta = _read_path(args)
+    sat1, sat2 = oracle.operand_sets(model, theta, args.limit)
+    mode, grade, witnesses = args.mode, args.grade, None
+    if args.strategy is not None:
+        strategy = _load_strategy_for(model, args.strategy)
+        mode, grade = "fixed", strategy.grade
+        values = oracle.exact_prob(model, strategy, theta, sat1, sat2)
+    elif isinstance(theta, (Next, Until, Release)):
+        result = oracle.oracle_optimum(model, theta, sat1, sat2, grade, mode, args.limit)
+        values, witnesses = result.values, result.witnesses
+    else:
+        # bounded operators: exact optimum with per-step re-choice
+        values = oracle.step_optimum(model, theta, sat1, sat2, grade, mode)
+    payload = {
+        "formula": print_path(theta),
+        "mode": mode,
+        "grade": grade,
+        "values": {q: _rational_text(v) for q, v in sorted(values.items())},
+    }
+    if witnesses is not None:
+        payload["witnesses"] = {
+            q: json.loads(strategy_to_json(w))["removal"] for q, w in sorted(witnesses.items())
+        }
+    lines = [f"path:      {payload['formula']}"]
+    lines += [f"{q}: {t}" for q, t in payload["values"].items()]
+    _emit(args, payload, lines)
+    return 0
 
 
 def _cmd_conformance(args) -> int:
@@ -358,12 +337,9 @@ def _cmd_conformance(args) -> int:
     sat1, sat2 = engine.operand_sets(model, theta, EngineOptions(), stats)
     algo_zero = engine.qual_zero_search(model, sat1, sat2, args.grade, release)
     algo_one = engine.qual_one_search(model, sat1, sat2, args.grade, algo_zero, release)
-    try:
-        oracle_zero, oracle_one = oracle.qualitative_sets(
-            model, theta, sat1, sat2, args.grade, "min", args.limit
-        )
-    except oracle.EnumerationLimit as exc:
-        raise _CliError(str(exc), EXIT_ORACLE_LIMIT)
+    oracle_zero, oracle_one = oracle.qualitative_sets(
+        model, theta, sat1, sat2, args.grade, "min", args.limit
+    )
     payload = {
         "formula": print_path(theta),
         "grade": args.grade,
@@ -412,9 +388,10 @@ def positive_int(text: str) -> int:
 
 
 def _add_engine_flags(sub) -> None:
-    sub.add_argument("--epsilon", type=float, default=1e-10)
-    sub.add_argument("--max-iterations", type=int, default=10**6)
-    sub.add_argument("--solver", choices=["vi", "pi"], default="vi")
+    defaults = engine.DEFAULT_OPTIONS
+    sub.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    sub.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
+    sub.add_argument("--solver", choices=["vi", "pi"], default=defaults.solver)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,20 +399,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="potl",
         description="Model check obstruction queries over probabilistic "
         "structures with edge-removal costs.",
+        allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    check = subparsers.add_parser("check", help="decide a state formula")
-    check.add_argument("--model", required=True)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        sub = subparsers.add_parser(name, help=help, allow_abbrev=False)
+        sub.add_argument("--model", required=True)
+        sub.set_defaults(func=func)
+        return sub
+
+    check = command("check", _cmd_check, "decide a state formula")
     group = check.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--formula-file")
     _add_engine_flags(check)
     check.add_argument("--json", action="store_true")
-    check.set_defaults(func=_cmd_check)
 
-    prob = subparsers.add_parser("prob", help="per-state path probabilities")
-    prob.add_argument("--model", required=True)
+    prob = command("prob", _cmd_prob, "per-state path probabilities")
     prob.add_argument("--path", required=True)
     prob.add_argument("--grade", type=non_negative_int, default=0)
     prob.add_argument("--mode", choices=["min", "max"], default="min")
@@ -443,25 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
     prob.add_argument("--strategy", help="evaluate this fixed strategy instead")
     _add_engine_flags(prob)
     prob.add_argument("--json", action="store_true")
-    prob.set_defaults(func=_cmd_prob)
 
-    synth = subparsers.add_parser("synthesize", help="extract a witness strategy")
-    synth.add_argument("--model", required=True)
+    synth = command("synthesize", _cmd_synthesize, "extract a witness strategy")
     synth.add_argument("--path", required=True)
     synth.add_argument("--grade", type=non_negative_int, required=True)
-    synth.add_argument("--mode", choices=["min", "max"], default="min")
     synth.add_argument("--output", "-o")
     _add_engine_flags(synth)
     synth.add_argument("--json", action="store_true")
-    synth.set_defaults(func=_cmd_synthesize)
 
-    val = subparsers.add_parser("validate", help="check model well-formedness")
-    val.add_argument("--model", required=True)
+    val = command("validate", _cmd_validate, "check model well-formedness")
     val.add_argument("--json", action="store_true")
-    val.set_defaults(func=_cmd_validate)
 
-    orc = subparsers.add_parser("oracle", help="exact rational ground truth")
-    orc.add_argument("--model", required=True)
+    orc = command("oracle", _cmd_oracle, "exact rational ground truth")
     group = orc.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--path")
@@ -470,32 +444,34 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--strategy")
     orc.add_argument("--limit", type=positive_int, default=oracle.DEFAULT_LIMIT)
     orc.add_argument("--json", action="store_true")
-    orc.set_defaults(func=_cmd_oracle)
 
-    conf = subparsers.add_parser(
-        "conformance", help="backward-search transcriptions vs oracle sets"
-    )
-    conf.add_argument("--model", required=True)
+    conf = command("conformance", _cmd_conformance, "backward-search transcriptions vs oracle sets")
     conf.add_argument("--path", required=True)
     conf.add_argument("--grade", type=non_negative_int, required=True)
     conf.add_argument("--limit", type=positive_int, default=oracle.DEFAULT_LIMIT)
     conf.add_argument("--json", action="store_true")
-    conf.set_defaults(func=_cmd_conformance)
 
     return parser
 
 
+# what the engine, the oracle and the removal optimizer raise, by exit code
+_EXIT_CODES = {
+    CostRangeError: EXIT_USAGE,
+    ConvergenceError: EXIT_NO_CONVERGENCE,
+    oracle.EnumerationLimit: EXIT_ORACLE_LIMIT,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except CostRangeError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     except RecursionError:
         # parsing, checking and printing recurse once per nesting level
         print("input nested too deeply: Python's recursion limit was reached", file=sys.stderr)

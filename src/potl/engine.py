@@ -156,12 +156,13 @@ def _frame(
 Step = Callable[[str, Mapping[str, float]], float]
 
 
-def _optimal_step(model: Pots, budget: int, mode: str) -> Step:
-    """The optimizer's surviving mass (min), or the plain one-step mass
-    (max: the maximizer removes nothing)."""
+def _optimal_step(model: Pots, frame: Frame, budget: int, mode: str) -> Step:
+    """The optimizer's surviving mass (min), or the empty policy's row sum
+    over the frame's undetermined states (max: the maximizer removes
+    nothing)."""
     if mode == "min":
         return lambda q, x: best_removal(model, q, budget, x)[1]
-    return lambda q, x: sum(model.trans(q, r) * x[r] for r in model.succ(q))
+    return _policy_step(model, dict.fromkeys(frame.undetermined, ()))
 
 
 def _iterate(
@@ -209,11 +210,17 @@ def _iterate(
 
 
 def _policy_step(model: Pots, policy: Mapping[str, Removal]) -> Step:
-    """Row sums of the chain pruned by a fixed removal policy."""
+    """Row sums of the chain pruned by a fixed removal policy, read once
+    from each state's ``Row``: ``pn / pd`` is the float probability."""
     rows = {}
     for q, removed in policy.items():
+        row = model.row(q)
         gone = set(removed)
-        rows[q] = [(r, model.trans(q, r)) for r in model.succ(q) if (q, r) not in gone]
+        rows[q] = [
+            (r, pn / pd)
+            for e, r, (pn, pd) in zip(row.edges, row.succ, row.ratios)
+            if e not in gone
+        ]
     return lambda q, x: sum(p * x[r] for r, p in rows[q])
 
 
@@ -255,7 +262,7 @@ def _optimum(
     if frame.sweeps is None and opts.solver == "pi" and mode == "min":
         x = _policy_iteration(model, frame, budget, opts, stats)
     else:
-        step = _optimal_step(model, budget, mode)
+        step = _optimal_step(model, frame, budget, mode)
         x = _iterate(frame, frame.sweeps, step, opts, stats)
     # pinned entries are exactly 0.0 or 1.0, which the clamp keeps
     for q in frame.undetermined:
@@ -392,7 +399,7 @@ def synthesize(
     if frame.sweeps is None:
         basis = _dispatch_path(model, theta, sat1, sat2, budget, "min", opts, stats)
     else:
-        step = _optimal_step(model, budget, "min")
+        step = _optimal_step(model, frame, budget, "min")
         basis = _iterate(frame, max(frame.sweeps - 1, 0), step, opts, stats)
         if frame.sweeps and stats is not None:
             stats.iterations += 1  # the extraction below is the horizon's last sweep
@@ -503,9 +510,8 @@ def operand_sets(
 def _sat(
     model: Pots, phi: StateFormula, opts: EngineOptions, stats: Stats
 ) -> frozenset[str]:
-    states = frozenset(model.states)
     if isinstance(phi, TrueConst):
-        return states
+        return frozenset(model.states)
     if isinstance(phi, FalseConst):
         return frozenset()
     if isinstance(phi, Atom):
@@ -516,15 +522,14 @@ def _sat(
                 stats.warnings.append(message)
         return out
     if isinstance(phi, Not):
-        return states - _sat(model, phi.body, opts, stats)
+        return frozenset(model.states) - _sat(model, phi.body, opts, stats)
     if isinstance(phi, And):
         return _sat(model, phi.left, opts, stats) & _sat(model, phi.right, opts, stats)
     if isinstance(phi, Or):
         return _sat(model, phi.left, opts, stats) | _sat(model, phi.right, opts, stats)
     if isinstance(phi, Implies):
-        return (states - _sat(model, phi.left, opts, stats)) | _sat(
-            model, phi.right, opts, stats
-        )
+        left = _sat(model, phi.left, opts, stats)
+        return (frozenset(model.states) - left) | _sat(model, phi.right, opts, stats)
     if isinstance(phi, ObstructQuery):
         _, satisfied = _decide_query(model, phi, opts, stats)
         return satisfied

@@ -315,15 +315,21 @@ def load_model(path: str) -> Pots:
         return loads_model(handle.read())
 
 
-def fraction_to_decimal(value: Fraction, max_digits: int = 17) -> str:
-    """Render a rational in [0, 1] as a decimal string, exactly when the
-    denominator divides a power of ten, else rounded to ``max_digits``."""
+def decimal_terminates(value: Fraction) -> bool:
+    """Whether the decimal expansion of ``value`` terminates: its
+    denominator divides a power of ten."""
     den = value.denominator
     while den % 2 == 0:
         den //= 2
     while den % 5 == 0:
         den //= 5
-    if den == 1:
+    return den == 1
+
+
+def fraction_to_decimal(value: Fraction, max_digits: int = 17) -> str:
+    """Render a rational in [0, 1] as a decimal string, exactly when the
+    denominator divides a power of ten, else rounded to ``max_digits``."""
+    if decimal_terminates(value):
         # terminating expansion: scale until integral
         digits = 0
         scaled = value

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import fraction_to_decimal
+from .model import decimal_terminates, fraction_to_decimal
 
 
 class ParseError(ValueError):
@@ -430,12 +430,7 @@ _PREC = {Implies: 1, Or: 2, And: 3, Not: 4}
 
 def threshold_text(k: Fraction) -> str:
     """Decimal rendering when it terminates in few digits, else num/den."""
-    den = k.denominator
-    while den % 2 == 0:
-        den //= 2
-    while den % 5 == 0:
-        den //= 5
-    if den == 1:
+    if decimal_terminates(k):
         text = fraction_to_decimal(k)  # "0", "1", "0.1", ...
         if len(text) <= 14:
             return text

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from potl.cli import main
+import potl.oracle
+from potl.cli import build_parser, main
+from potl.engine import DEFAULT_OPTIONS
 from potl.model import load_model
 from potl.obstruction import load_strategy, validate_strategy
 
@@ -327,11 +329,14 @@ class TestSynthesize:
         assert "cannot write strategy" in err
 
     def test_max_mode_rejected(self, capsys, chain_path):
-        code, _, _ = run(
-            capsys, "synthesize", "--model", chain_path, "--path", "F goal",
-            "--grade", "1", "--mode", "max",
-        )
-        assert code == 2
+        # synthesis targets the minimizer, so synthesize has no --mode flag
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "synthesize", "--model", chain_path, "--path", "F goal",
+                "--grade", "1", "--mode", "max",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode max" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -455,3 +460,66 @@ class TestConformance:
             "--path", "true U<=3 goal", "--grade", "1",
         )
         assert code == 2
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prob", "--path", "F goal", "--max-iterations", "1"),
+            ("synthesize", "--path", "F goal", "--grade", "0", "--max-iterations", "1"),
+            ("conformance", "--path", "(<<0 < 0.5>> F<=100000000 goal) U goal", "--grade", "1"),
+        ],
+        ids=["prob", "synthesize", "conformance"],
+    )
+    def test_no_convergence_exits_four(self, capsys, chain_path, argv):
+        code, out, err = run(capsys, argv[0], "--model", chain_path, *argv[1:])
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err
+        assert "iterations" in err and len(err.splitlines()) == 1
+
+    def test_conformance_enumeration_limit_exits_five(self, capsys, attack_graph_path):
+        code, out, err = run(
+            capsys, "conformance", "--model", attack_graph_path,
+            "--path", "true U r3", "--grade", "5", "--limit", "2",
+        )
+        assert code == 5
+        assert out == ""
+        assert err == "270 strategies exceed the enumeration limit of 2\n"
+
+
+class TestParser:
+    def test_engine_defaults_are_the_engine_options(self):
+        args = build_parser().parse_args(["check", "--model", "m.json", "--formula", "true"])
+        assert (args.epsilon, args.max_iterations, args.solver) == (
+            DEFAULT_OPTIONS.epsilon,
+            DEFAULT_OPTIONS.max_iterations,
+            DEFAULT_OPTIONS.solver,
+        )
+
+    def test_abbreviated_flag_exits_two(self, capsys, chain_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--mod", chain_path, "--formula", "true"])
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+
+
+class TestOracleCalls:
+    def test_top_level_query_computes_its_optimum_once(
+        self, capsys, monkeypatch, attack_graph_path
+    ):
+        calls = []
+        original = potl.oracle._optimum_values
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(potl.oracle, "_optimum_values", counting)
+        code, payload, _ = run_json(
+            capsys, "oracle", "--model", attack_graph_path, "--formula", "<<5 < 0.2>> F r3"
+        )
+        assert code == 0
+        assert payload["sat"] == ["S0", "S1", "S2"]
+        assert len(calls) == 1

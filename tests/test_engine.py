@@ -447,7 +447,7 @@ class TestSweepContract:
         sat1, sat2 = label_sets(model)
         frame = engine._frame(model, op, sat1, sat2, 6 if op is BoundedUntil else None)
         before = dict(frame.start)
-        step = engine._optimal_step(model, 2, "min")
+        step = engine._optimal_step(model, frame, 2, "min")
         x = engine._iterate(frame, frame.sweeps, step, EngineOptions(), None)
         assert frame.start == before
         assert x != before
