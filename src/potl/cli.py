@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import engine, oracle
@@ -66,7 +67,9 @@ def _float_text(v: float) -> str:
 
 
 def _rational_text(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
+    # str() refuses ints past the interpreter's digit limit (4,300 by
+    # default); an integral Decimal converts exactly and prints every digit
+    return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
 
 
 def _load_model(path: str) -> Pots:

@@ -3,13 +3,24 @@
 Formulas are processed bottom-up; each obstruction query turns into a
 per-state optimum over removal strategies. Every core path operator is a
 frame: the states pinned to 1, the states pinned to 0, the undetermined
-states a sweep updates, and their start values. One Jacobi sweep over the
-undetermined states serves all five operators: next is one sweep, the
-step-bounded operators are k sweeps, and unbounded until and release
-repeat it to a fixed point, either with the optimizer as the step (value
-iteration) or with a fixed policy's row sums as the step (the power
-method inside policy iteration). The sweeps run on two value buffers
-that swap roles after each sweep, so no vector is copied per sweep.
+states a sweep updates, their start values, and a sweep plan. One Jacobi
+sweep serves all five operators: next is one sweep, the step-bounded
+operators are k sweeps, and unbounded until and release repeat it to a
+fixed point, either with the optimizer as the step (value iteration) or
+with a fixed policy's row sums as the step (the power method inside
+policy iteration). The sweeps run on two value buffers that swap roles
+after each sweep, so no vector is copied per sweep.
+
+A sweep steps only the undetermined states whose value can still
+change. The plan, read off the unpruned graph once per frame, gives each
+state off every cycle of undetermined states the last sweep that can
+change it: one more than the latest of its undetermined successors, and
+1 when it has none. After that sweep the state's inputs no longer
+change, so a step would recompute the same float; the next sweep copies
+the value into the other buffer, and later sweeps leave it alone. States
+on a cycle, or upstream of one, are stepped by every sweep, so the cost
+per step stays constant on them. Values, residuals and sweep counts are
+bit for bit those of stepping every undetermined state in every sweep.
 
 Measure convention: pruned probability mass vanishes, nothing is
 renormalized, and release is never complemented through until.
@@ -21,6 +32,7 @@ are immutable, so concurrent queries against a shared model are safe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
@@ -99,11 +111,13 @@ class Frame(NamedTuple):
     """One core operator's shape. ``start`` holds every state's value before
     the first sweep; pinned states are the ones outside ``undetermined`` and
     keep their start value. ``sweeps`` is the step count, or None for a
-    fixed point."""
+    fixed point. ``plan`` is ``(order, live)`` from ``_sweep_plan``, or None
+    to step every undetermined state in every sweep."""
 
     start: dict[str, float]
     undetermined: list[str]
     sweeps: int | None
+    plan: tuple[list[str], list[int]] | None = None
 
 
 def _backward_reachable(
@@ -136,19 +150,67 @@ def _frame(
       graph, starting from below; the rest is pinned 0 (sound in both modes);
     - release: pinned 1 on ``sat1 & sat2`` and 0 outside ``sat2``;
       undetermined are ``sat2 - sat1``, starting from above.
+
+    Until and release carry the sweep plan of their undetermined states
+    (``_sweep_plan``); next, a single sweep, has none.
     """
     start = {q: (1.0 if q in sat2 else 0.0) for q in model.states}
     if op is Next:
         return Frame(start, list(model.states), 1)
     if op in (Until, BoundedUntil):
         through = sat1 - sat2
-        can = _backward_reachable(model, sat2, through)
-        undetermined = [q for q in model.states if q in through and q in can]
+        inside = through & _backward_reachable(model, sat2, through)
     elif op in (Release, BoundedRelease):
-        undetermined = [q for q in model.states if q in sat2 and q not in sat1]
+        inside = sat2 - sat1
     else:
         raise TypeError(f"not a core path operator: {op!r}")
-    return Frame(start, undetermined, sweeps)
+    undetermined = [q for q in model.states if q in inside]
+    plan = _sweep_plan(model, undetermined, inside, sweeps)
+    return Frame(start, undetermined, sweeps, plan)
+
+
+def _sweep_plan(
+    model: Pots, undetermined: list[str], inside: frozenset[str], sweeps: int | None
+) -> tuple[list[str], list[int]] | None:
+    """The frame's sweep plan, from the unpruned graph alone. Each
+    undetermined state off every cycle of undetermined states gets
+    ``last``, the last sweep that can change it: 1 without undetermined
+    successors, else one more than the latest of theirs. A fixed policy
+    only drops edges, so the plan holds for its power method too.
+
+    ``order`` puts the states that never settle first, then the rest by
+    ``last``, latest first, so the states sweep s steps are the prefix
+    ``order[:live[s]]``; ``live`` ends with its final length repeated.
+    None when there is at most one sweep or no state settles."""
+    if not undetermined or (sweeps is not None and sweeps < 2):
+        return None
+    waiting = {}
+    for q in undetermined:
+        succ = model.row(q).succ
+        if not inside.isdisjoint(succ):
+            waiting[q] = len(inside.intersection(succ))
+    n = len(undetermined)
+    if not waiting:  # every state settles after sweep 1
+        return undetermined, [n, n, 0, 0]
+    if len(waiting) == n:
+        return None
+    # Kahn's order settles the states by ascending last sweep, so the
+    # successor that releases a state is its latest
+    settled = [q for q in undetermined if q not in waiting]
+    last = dict.fromkeys(settled, 1)
+    for q in settled:  # grows while it is walked
+        for p in model.pred(q):
+            k = waiting.get(p)
+            if k:
+                waiting[p] = k - 1
+                if k == 1:
+                    last[p] = last[q] + 1
+                    settled.append(p)
+    order = [q for q in undetermined if q not in last] + settled[::-1]
+    ends = [last[q] for q in settled]
+    live = [n] + [n - bisect_left(ends, s) for s in range(1, ends[-1] + 2)]
+    live.append(live[-1])
+    return order, live
 
 
 # -- the sweep ------------------------------------------------------------------
@@ -176,29 +238,45 @@ def _iterate(
     ``sweeps`` of them or, when ``sweeps`` is None, until no value moves by
     epsilon or more. Either way at most ``opts.max_iterations`` sweeps run.
 
+    Each sweep calls the step only for the states the frame's plan still
+    steps. A state past its last sweep would get the same float from the
+    same inputs and move by exactly 0, so values, residuals and sweep
+    counts are those of stepping every undetermined state in every sweep.
+
     Two value buffers, both copied once from the start, swap roles after
-    every sweep: a sweep reads one and overwrites the other's undetermined
-    entries, and the pinned entries are never written. ``frame.start``
-    itself is left as it was, since policy iteration starts every round
-    from it."""
+    every sweep: a sweep reads one and writes the other, and the pinned
+    entries are never written. ``frame.start`` itself is left as it was,
+    since policy iteration starts every round from it."""
     if sweeps is not None and sweeps > opts.max_iterations:
         raise ConvergenceError(
             f"step bound {sweeps} exceeds the limit of {opts.max_iterations} iterations"
         )
-    undetermined = frame.undetermined
+    # sweep s steps order[:live[s]] and copies order[live[s]:live[s - 1]],
+    # whose last sweep was the one before, so that both buffers hold their
+    # final values; past the end of live, the last prefix stays
+    order, live = frame.plan or (frame.undetermined, ())
+    update, stages = order, len(live)
     x, nxt = dict(frame.start), dict(frame.start)
     if sweeps is not None:
         # a step bound fixes the sweep count, so no residual is taken
-        for _ in range(sweeps):
-            for q in undetermined:
+        for s in range(1, sweeps + 1):
+            if s < stages:
+                update = order[: live[s]]
+                for q in order[live[s] : live[s - 1]]:
+                    nxt[q] = x[q]
+            for q in update:
                 nxt[q] = step(q, x)
             x, nxt = nxt, x
         if stats is not None:
             stats.iterations += sweeps
         return x
-    for _ in range(opts.max_iterations):
+    for s in range(1, opts.max_iterations + 1):
+        if s < stages:
+            update = order[: live[s]]
+            for q in order[live[s] : live[s - 1]]:
+                nxt[q] = x[q]
         delta = 0.0
-        for q in undetermined:
+        for q in update:
             v = nxt[q] = step(q, x)
             delta = max(delta, abs(v - x[q]))
         x, nxt = nxt, x

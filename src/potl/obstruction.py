@@ -266,6 +266,9 @@ def best_removal(
     weights = [n << (top - s) for n, s in zip(nums, sizes)]
     total = sum(weights)
     options = _options(costs, budget)
+    if options == ((),):
+        # no edge fits the budget: the empty removal is the only option
+        return (), total / (1 << (top - 2))
     if options is None:
         removed_w, chosen = _strict_knapsack(weights, costs, budget)
     else:

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from potl.cli import build_parser, main
 from potl.engine import DEFAULT_OPTIONS
 from potl.model import load_model
 from potl.obstruction import load_strategy, validate_strategy
+from potl.syntax import parse_path_formula
 
 
 def run(capsys, *argv):
@@ -428,6 +430,28 @@ class TestOracle:
         )
         assert code == 0
         assert payload["values"]["q"] == "3/4"
+
+    def test_exact_value_past_the_int_digit_limit(self, capsys, chain_path):
+        # 2**15000 has 4,516 digits, past the 4,300 str() accepts by default
+        code, payload, _ = run_json(
+            capsys, "oracle", "--model", chain_path, "--path", "true U<=15000 goal",
+        )
+        assert code == 0
+        num, den = payload["values"]["q"].split("/")
+        assert len(den) > 4300
+
+        def value(digits):
+            n = 0
+            for i in range(0, len(digits), 500):
+                chunk = digits[i:i + 500]
+                n = n * 10 ** len(chunk) + int(chunk)
+            return n
+
+        model = load_model(chain_path)
+        theta = parse_path_formula("true U<=15000 goal")
+        sat1, sat2 = potl.oracle.operand_sets(model, theta)
+        want = potl.oracle.step_optimum(model, theta, sat1, sat2, 0, "min")["q"]
+        assert Fraction(value(num), value(den)) == want == 1 - Fraction(1, 2**15000)
 
 
 class TestConformance:

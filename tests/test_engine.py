@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,7 +26,7 @@ from potl.engine import (
     synthesize,
     Stats,
 )
-from potl.generate import random_pots, scaling_model
+from potl.generate import corpus, random_pots, scaling_model
 from potl.model import Pots
 from potl.obstruction import MemorylessStrategy, validate_strategy
 from potl.oracle import exact_prob, oracle_optimum, oracle_sat
@@ -414,9 +415,47 @@ class TestInvariantProperties:
                 assert abs(previous[q] - unbounded[q]) <= 2e-10 + 1e-9
 
 
+def last_sweeps(model, undetermined):
+    """Each undetermined state's last sweep that can change its value, as
+    the greatest fixed point of last(q) = 1 + max(last of its undetermined
+    successors, 0 if none), iterated down from infinity: states on a
+    cycle of undetermined states, or upstream of one, stay infinite."""
+    inside = set(undetermined)
+    last = dict.fromkeys(undetermined, math.inf)
+    changed = True
+    while changed:
+        changed = False
+        for q in undetermined:
+            v = 1 + max((last[r] for r in model.row(q).succ if r in inside), default=0)
+            if v < last[q]:
+                last[q] = v
+                changed = True
+    return last
+
+
+def cycle_model():
+    """s0 -> s1 -> s2 -> s0, each state also stepping to goal."""
+    states = ["s0", "s1", "s2", "goal"]
+    edges = [(q, r, Fraction(1, 2), 1) for q, r in zip(states[:3], ["s1", "s2", "s0"])]
+    edges += [(q, "goal", Fraction(1, 2), 1) for q in states[:3]]
+    edges.append(("goal", "goal", 1, 1))
+    return Pots.build(states, "s0", edges, {"goal": ["b"]})
+
+
+def chain_of(n):
+    """s0 -> s1 -> ... -> s{n-1} -> goal, each step losing half to sink."""
+    states = [f"s{i}" for i in range(n)]
+    edges = []
+    for q, r in zip(states, states[1:] + ["goal"]):
+        edges += [(q, r, Fraction(1, 2), 1), (q, "sink", Fraction(1, 2), 2)]
+    edges += [("goal", "goal", 1, 1), ("sink", "sink", 1, 1)]
+    return Pots.build(states + ["goal", "sink"], "s0", edges, {"goal": ["b"]})
+
+
 class TestSweepContract:
-    """Every min-mode sweep calls the optimizer once per undetermined state,
-    and no sweep writes the frame's start values."""
+    """A min-mode sweep calls the optimizer once for each undetermined state
+    it can still change, up to that state's last sweep, and no sweep writes
+    the frame's start values."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -432,14 +471,41 @@ class TestSweepContract:
 
     @pytest.mark.parametrize("op", [BoundedUntil, BoundedRelease])
     @pytest.mark.parametrize("bound", [1, 2, 7])
-    def test_one_call_per_undetermined_state_per_sweep(self, counted, op, bound):
+    def test_one_call_per_state_up_to_its_last_sweep(self, counted, op, bound):
         model = scaling_model(200)
         sat1, sat2 = label_sets(model)
         undetermined = engine._frame(model, op, sat1, sat2, bound).undetermined
         assert undetermined
+        last = last_sweeps(model, undetermined)
+        assert 1 in last.values()
         path_values(model, op(Atom("a"), Atom("b"), bound), 2, "min")
-        assert len(counted) == bound * len(undetermined)
-        assert Counter(counted) == {q: bound for q in undetermined}
+        assert Counter(counted) == {q: min(bound, last[q]) for q in undetermined}
+
+    def test_a_cycle_is_swept_every_time(self, counted):
+        model = cycle_model()
+        every, goal = frozenset(model.states), frozenset({"goal"})
+        frame = engine._frame(model, BoundedUntil, every, goal, 5)
+        assert frame.undetermined == ["s0", "s1", "s2"]
+        assert frame.plan is None
+        path_values(model, BoundedUntil(TRUE, Atom("b"), 5), 1, "min")
+        assert Counter(counted) == {"s0": 5, "s1": 5, "s2": 5}
+
+    @pytest.mark.parametrize("bound", [2, 3, 6, None])
+    def test_a_chain_drops_out_state_by_state(self, counted, bound):
+        model = chain_of(4)
+        theta = Until(TRUE, Atom("b")) if bound is None else BoundedUntil(TRUE, Atom("b"), bound)
+        every, goal = frozenset(model.states), frozenset({"goal"})
+        frame = engine._frame(model, type(theta), every, goal, bound)
+        assert frame.plan == (["s0", "s1", "s2", "s3"], [4, 4, 3, 2, 1, 0, 0])
+        stats = Stats()
+        values = path_values(model, theta, 0, "min", stats=stats)
+        # s0 settles at sweep 4, so the fixed point stops after sweep 5
+        horizon = 5 if bound is None else bound
+        assert stats.iterations == horizon
+        assert Counter(counted) == {f"s{i}": min(horizon, 4 - i) for i in range(4)}
+        assert [values[f"s{i}"] for i in range(4)] == [
+            0.5 ** (4 - i) if horizon >= 4 - i else 0.0 for i in range(4)
+        ]
 
     @pytest.mark.parametrize("op", [BoundedUntil, Until, Release])
     def test_sweeps_leave_the_start_values_alone(self, op):
@@ -455,6 +521,48 @@ class TestSweepContract:
             y = engine._policy_iteration(model, frame, 2, EngineOptions(solver="pi"), None)
             assert frame.start == before
             assert max(abs(x[q] - y[q]) for q in model.states) < 1e-8
+
+
+def planned_answers(model, solver):
+    """Values as ``float.hex`` and iteration counts of every path operator
+    at grades {0, 1, 2, 4} in both modes, and the min-mode witnesses."""
+    opts = EngineOptions(solver=solver)
+    sat1, sat2 = label_sets(model)
+    out = []
+    for theta in (
+        Next(Atom("b")),
+        BoundedUntil(Atom("a"), Atom("b"), 4),
+        Until(Atom("a"), Atom("b")),
+        BoundedRelease(Atom("a"), Atom("b"), 4),
+        Release(Atom("a"), Atom("b")),
+    ):
+        for grade in (0, 1, 2, 4):
+            for mode in ("min", "max"):
+                stats = Stats()
+                values = path_values(model, theta, grade, mode, opts, stats)
+                out.append(({q: v.hex() for q, v in values.items()}, stats.iterations))
+            stats = Stats()
+            strategy, values = synthesize(model, theta, sat1, sat2, grade, opts, stats)
+            out.append((strategy, {q: v.hex() for q, v in values.items()}, stats.iterations))
+    return out
+
+
+class TestSweepPlanIsExact:
+    @pytest.mark.parametrize("solver", ["vi", "pi"])
+    def test_same_bits_as_sweeping_every_state(self, monkeypatch, solver):
+        models = corpus(2024, 40)
+        planned = [
+            engine._frame(m, op, *label_sets(m), 4).plan
+            for m in models
+            for op in (BoundedUntil, Until, BoundedRelease, Release)
+        ]
+        assert sum(plan is not None for plan in planned) > 20
+        with_plan = [planned_answers(m, solver) for m in models]
+        frame = engine._frame
+        monkeypatch.setattr(
+            engine, "_frame", lambda *args: frame(*args)._replace(plan=None)
+        )
+        assert [planned_answers(m, solver) for m in models] == with_plan
 
 
 class TestFixedAndSynthesis:

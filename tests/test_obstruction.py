@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import potl.obstruction
 from potl.generate import random_pots
 from potl.model import Pots, edges_of
 from potl.obstruction import (
@@ -241,6 +242,18 @@ class TestBestRemoval:
         values = {"hub": 0.0, "t0": value}
         removal, surviving = best_removal(m, "hub", 5, values)
         expected_removal, expected_surviving = enumerate_best(m, "hub", 5, values)
+        assert removal == expected_removal == ()
+        assert surviving == float(expected_surviving)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES + [2.9e-308])
+    def test_unaffordable_row_keeps_the_exact_sum_without_a_scan(self, monkeypatch, value):
+        # every edge costs more than the budget: the empty removal is the
+        # only option, and its surviving mass is the exactly rounded sum
+        monkeypatch.setattr(potl.obstruction, "_heaviest", None)
+        m, values = star([(3, value, 1), (4, 0.7, 2), (5, 1e-300, 3)])
+        assert _options(m.row("hub").costs, 2) == ((),)
+        removal, surviving = best_removal(m, "hub", 2, values)
+        expected_removal, expected_surviving = enumerate_best(m, "hub", 2, values)
         assert removal == expected_removal == ()
         assert surviving == float(expected_surviving)
 
