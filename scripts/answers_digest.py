@@ -35,12 +35,21 @@ models in ``models/``. The list covers all six subcommands, human and
 directory holds the strategy and formula files, and its path enters the
 digest as ``TMP``.
 
+A fifth line identifies the model loader and ``validate``: for each
+model of ``corpus(2024, 60)``, written by ``dumps_model``, and for each
+of ``MODEL_MUTATIONS`` applied to that document, either the exact
+``ModelError`` text of ``loads_model`` or the loaded model's fields (its
+exact probabilities in file order, labels, costs, each state's row and
+predecessors) with the report of ``validate``.
+
     PYTHONHASHSEED=0 python scripts/answers_digest.py
 """
 
 import contextlib
+import copy
 import hashlib
 import io
+import json
 import os
 import pathlib
 import random
@@ -61,7 +70,7 @@ from potl.engine import (
     synthesize,
 )
 from potl.generate import corpus, scaling_model
-from potl.model import Pots
+from potl.model import ModelError, Pots, dumps_model, fraction_to_decimal, loads_model, validate
 from potl.obstruction import CostRangeError, best_removal
 from potl.oracle import operand_sets as oracle_operand_sets
 from potl.oracle import oracle_optimum, step_optimum
@@ -312,6 +321,92 @@ def cli_results():
             os.environ["COLUMNS"] = columns
 
 
+def _edge(i, **changes):
+    return lambda doc: doc["edges"][i].update(changes)
+
+
+def _nudge(delta):
+    """Move the first edge's probability by an exact ``delta``: its row then
+    sums to 1 + delta, give or take the rounding of repeating decimals."""
+
+    def mutate(doc):
+        edge = doc["edges"][0]
+        edge["prob"] = fraction_to_decimal(Fraction(edge["prob"]) + delta)
+
+    return mutate
+
+
+def _drop_last_row(doc):
+    last = doc["states"][-1]
+    doc["edges"] = [e for e in doc["edges"] if e["from"] != last]
+
+
+def _zero_then_bad_cost(doc):
+    doc["edges"][0]["prob"] = "0.000"
+    doc["edges"][-1]["cost"] = -1
+
+
+def _zeros(doc):
+    prob = doc["edges"][0]["prob"]
+    doc["edges"][0]["prob"] = "00" + prob + ("000" if "." in prob else ".000")
+
+
+# documents that break rules of the loader or of validate, or that write
+# the same model differently; ASCII only
+MODEL_MUTATIONS = [
+    lambda doc: None,
+    lambda doc: doc["edges"].reverse(),
+    lambda doc: doc.pop("labels"),
+    _zeros,
+    _nudge(Fraction(1, 10**9)),
+    _nudge(Fraction(-1, 10**9)),
+    _nudge(Fraction(2, 10**9)),
+    _nudge(Fraction(-2, 10**9)),
+    _edge(0, prob="1.5"),
+    _edge(0, cost=2**32),
+    _drop_last_row,
+    _edge(0, prob="0"),
+    _zero_then_bad_cost,
+    _edge(-1, cost=-1),
+    _edge(0, cost=True),
+    _edge(0, prob=0.5),
+    _edge(0, prob="1/2"),
+    _edge(0, prob="5e-1"),
+    _edge(-1, to="nowhere"),
+    lambda doc: doc["edges"].append(dict(doc["edges"][0])),
+    lambda doc: doc["edges"][0].pop("cost"),
+    lambda doc: doc["edges"][0].update(weight=1),
+    lambda doc: doc.update(initial="nowhere"),
+    lambda doc: doc["states"].append(doc["states"][0]),
+    lambda doc: doc.update(labels={"nowhere": ["a"]}),
+    lambda doc: doc.update(extra=1),
+]
+
+
+def model_outcome(text):
+    try:
+        model = loads_model(text)
+    except ModelError as exc:
+        return ("error", str(exc))
+    return (
+        model.states,
+        model.initial,
+        [(e, f"{p.numerator}/{p.denominator}") for e, p in model.prob.items()],
+        sorted((q, sorted(props)) for q, props in model.labels.items()),
+        list(model.cost.items()),
+        [(q, model.row(q), model.pred(q)) for q in model.states],
+        validate(model),
+    )
+
+
+def model_results(model):
+    doc = json.loads(dumps_model(model))
+    for mutate in MODEL_MUTATIONS:
+        mutated = copy.deepcopy(doc)
+        mutate(mutated)
+        yield model_outcome(json.dumps(mutated))
+
+
 def digest(streams):
     """Result count and sha256 over the reprs of every result, in order."""
     sha = hashlib.sha256()
@@ -334,6 +429,8 @@ def main() -> None:
     print(f"oracle {count} sha256 {hexdigest}")
     count, hexdigest = digest([cli_results()])
     print(f"cli {count} sha256 {hexdigest}")
+    count, hexdigest = digest([model_results(m) for m in corpus(2024, 60)])
+    print(f"models {count} sha256 {hexdigest}")
 
 
 if __name__ == "__main__":

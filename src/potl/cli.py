@@ -273,7 +273,7 @@ def _cmd_oracle(args) -> int:
         phi = _read_formula(args)
         query = {}
         if isinstance(phi, ObstructQuery):
-            values = oracle.oracle_query_values(model, phi, args.limit)
+            values = oracle.oracle_query_values(model, phi, args.limit, args.max_iterations)
             satisfied = frozenset(q for q, v in values.items() if phi.holds(v))
             query = {
                 "mode": phi.mode,
@@ -281,7 +281,7 @@ def _cmd_oracle(args) -> int:
                 "values": {q: _rational_text(v) for q, v in sorted(values.items())},
             }
         else:
-            satisfied = oracle.oracle_sat(model, phi, args.limit)
+            satisfied = oracle.oracle_sat(model, phi, args.limit, args.max_iterations)
         payload = {
             "formula": print_state(phi),
             "sat": sorted(satisfied),
@@ -299,18 +299,19 @@ def _cmd_oracle(args) -> int:
         _emit(args, payload, lines)
         return 0
     theta = _read_path(args)
-    sat1, sat2 = oracle.operand_sets(model, theta, args.limit)
+    cap = args.max_iterations
+    sat1, sat2 = oracle.operand_sets(model, theta, args.limit, cap)
     mode, grade, witnesses = args.mode, args.grade, None
     if args.strategy is not None:
         strategy = _load_strategy_for(model, args.strategy)
         mode, grade = "fixed", strategy.grade
-        values = oracle.exact_prob(model, strategy, theta, sat1, sat2)
+        values = oracle.exact_prob(model, strategy, theta, sat1, sat2, cap)
     elif isinstance(theta, (Next, Until, Release)):
-        result = oracle.oracle_optimum(model, theta, sat1, sat2, grade, mode, args.limit)
+        result = oracle.oracle_optimum(model, theta, sat1, sat2, grade, mode, args.limit, cap)
         values, witnesses = result.values, result.witnesses
     else:
         # bounded operators: exact optimum with per-step re-choice
-        values = oracle.step_optimum(model, theta, sat1, sat2, grade, mode)
+        values = oracle.step_optimum(model, theta, sat1, sat2, grade, mode, cap)
     payload = {
         "formula": print_path(theta),
         "mode": mode,
@@ -337,11 +338,12 @@ def _cmd_conformance(args) -> int:
         )
     release = isinstance(theta, Release)
     stats = engine.Stats()
-    sat1, sat2 = engine.operand_sets(model, theta, EngineOptions(), stats)
+    opts = EngineOptions(max_iterations=args.max_iterations)
+    sat1, sat2 = engine.operand_sets(model, theta, opts, stats)
     algo_zero = engine.qual_zero_search(model, sat1, sat2, args.grade, release)
     algo_one = engine.qual_one_search(model, sat1, sat2, args.grade, algo_zero, release)
     oracle_zero, oracle_one = oracle.qualitative_sets(
-        model, theta, sat1, sat2, args.grade, "min", args.limit
+        model, theta, sat1, sat2, args.grade, "min", args.limit, args.max_iterations
     )
     payload = {
         "formula": print_path(theta),
@@ -397,6 +399,14 @@ def _add_engine_flags(sub) -> None:
     sub.add_argument("--solver", choices=["vi", "pi"], default=defaults.solver)
 
 
+def _add_oracle_flags(sub) -> None:
+    sub.add_argument("--limit", type=positive_int, default=oracle.DEFAULT_LIMIT)
+    # the engine's cap, so both sides refuse the same step bounds
+    sub.add_argument(
+        "--max-iterations", type=positive_int, default=engine.DEFAULT_OPTIONS.max_iterations
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="potl",
@@ -445,13 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--grade", type=non_negative_int, default=0)
     orc.add_argument("--mode", choices=["min", "max"], default="min")
     orc.add_argument("--strategy")
-    orc.add_argument("--limit", type=positive_int, default=oracle.DEFAULT_LIMIT)
+    _add_oracle_flags(orc)
     orc.add_argument("--json", action="store_true")
 
     conf = command("conformance", _cmd_conformance, "backward-search transcriptions vs oracle sets")
     conf.add_argument("--path", required=True)
     conf.add_argument("--grade", type=non_negative_int, required=True)
-    conf.add_argument("--limit", type=positive_int, default=oracle.DEFAULT_LIMIT)
+    _add_oracle_flags(conf)
     conf.add_argument("--json", action="store_true")
 
     return parser
@@ -461,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = {
     CostRangeError: EXIT_USAGE,
     ConvergenceError: EXIT_NO_CONVERGENCE,
+    oracle.StepLimit: EXIT_NO_CONVERGENCE,
     oracle.EnumerationLimit: EXIT_ORACLE_LIMIT,
 }
 

@@ -509,11 +509,7 @@ def _qual_backward(
     x: set[str] | None = None
     while y != x:
         x = set(y)
-        grew = {
-            q
-            for q in grow_from
-            if any(model.trans(qp, q) > 0 for qp in y)
-        }
+        grew = {q for q in grow_from if not y.isdisjoint(model.pred(q))}
         pred = obstruct_pred(model, budget, frozenset(x))
         y |= (grew | pred) if use_union else (grew & pred)
     return frozenset(model.states) - frozenset(y)

@@ -1,16 +1,24 @@
 """Probabilistic obstruction structures: finite stochastic transition systems
 with a non-negative integer removal cost on every edge.
 
-Probabilities are kept twice: as exact rationals (parsed from the decimal
-strings of the model file, used by the exact oracle) and as 64-bit floats
-(the engine path). Each state's :class:`Row` also holds its floats as exact
-integer ratios, for the removal optimizer. Costs live only on existing
-edges; absent pairs cost 0 and are never removal candidates.
+Probabilities are exact rationals, parsed once from the decimal strings
+of the model file; the exact oracle reads them. The float engine and the
+removal optimizer read each state's :class:`Row`, which holds every edge's
+probability rounded to a 64-bit float, as an exact integer ratio. Costs
+live only on existing edges; absent pairs cost 0 and are never removal
+candidates.
+
+:func:`loads_model` checks each edge once, in its own loop, and builds
+the model directly; :meth:`Pots.build` keeps the same checks for models
+assembled in code. :func:`validate` checks every model the same way,
+whatever made it, on integers: a row's sum is compared with 1 over the
+common denominator of its probabilities.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,7 +70,6 @@ class Pots:
     _index: dict = field(init=False, repr=False, compare=False)
     _rows: dict = field(init=False, repr=False, compare=False)
     _pred: dict = field(init=False, repr=False, compare=False)
-    _trans_float: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {q: i for i, q in enumerate(self.states)}
@@ -72,31 +79,31 @@ class Pots:
             if q not in index:
                 raise ModelError(f"label for unknown state {q!r}")
         outgoing: dict[str, list] = {q: [] for q in self.states}
-        pred: dict[str, list[str]] = {q: [] for q in self.states}
-        trans_float = {}
         cost = self.cost
-        for e, p in self.prob.items():
-            q, r = e
-            if q not in index or r not in index:
-                raise ModelError(f"edge ({q!r}, {r!r}) references unknown state")
-            # int true division rounds correctly, as float(p) does, but faster
-            f = trans_float[e] = p.numerator / p.denominator
-            outgoing[q].append((index[r], e, r, cost.get(e, 0), f.as_integer_ratio()))
-            pred[r].append(q)
+        try:
+            for e, p in self.prob.items():
+                q, r = e
+                # int true division rounds correctly, as float(p) does, but faster
+                f = p.numerator / p.denominator
+                outgoing[q].append((index[r], e, r, cost.get(e, 0), f.as_integer_ratio()))
+        except KeyError:
+            raise ModelError(f"edge ({q!r}, {r!r}) references unknown state") from None
         rows = {}
+        pred: dict[str, list[str]] = {q: [] for q in self.states}
         for q in self.states:
             entries = outgoing[q]
             if entries:
                 entries.sort()
                 _, edges, targets, costs, ratios = zip(*entries)
                 rows[q] = Row(edges, targets, costs, ratios)
+                # sources come in state order, so each list needs no sort
+                for r in targets:
+                    pred[r].append(q)
             else:
                 rows[q] = _EMPTY_ROW
-            pred[q].sort(key=index.__getitem__)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_pred", {q: tuple(v) for q, v in pred.items()})
-        object.__setattr__(self, "_trans_float", trans_float)
 
     @classmethod
     def build(
@@ -158,10 +165,6 @@ class Pots:
         self._check_state(q)
         return self._pred[q]
 
-    def trans(self, q: str, r: str) -> float:
-        """Float transition probability; 0.0 for absent edges."""
-        return self._trans_float.get((q, r), 0.0)
-
     def prob_exact(self, q: str, r: str) -> Fraction:
         return self.prob.get((q, r), Fraction(0))
 
@@ -186,7 +189,9 @@ def edges_of(model: Pots, q: str) -> tuple[Edge, ...]:
 
 
 def validate(model: Pots) -> list[str]:
-    """Check stochasticity, seriality, cost and probability ranges.
+    """Check stochasticity, seriality, cost and probability ranges, all
+    exactly, in integers: a row passes when its sum is within
+    ``ROW_SUM_TOL`` of 1.
 
     Returns an empty list iff the model is well formed; each entry names
     the offending state or edge and the violated rule. Side-effect free.
@@ -195,16 +200,22 @@ def validate(model: Pots) -> list[str]:
     if model.initial not in model.states:
         report.append(f"initial state {model.initial!r} not in state set")
     for (q, r), p in model.prob.items():
-        if not (0 <= p <= 1):
+        if not (0 <= p.numerator <= p.denominator):
             report.append(f"probability out of [0,1] on edge ({q}, {r}): {p}")
     for (q, r), c in model.cost.items():
         if not (0 <= c <= MAX_COST):
             report.append(f"cost out of range on edge ({q}, {r}): {c}")
+    prob = model.prob
+    tol_num, tol_den = ROW_SUM_TOL.numerator, ROW_SUM_TOL.denominator
     for q in model.states:
-        row = sum((model.prob[(q, r)] for r in model.succ(q)), Fraction(0))
-        if abs(row - 1) > ROW_SUM_TOL:
-            report.append(f"stochasticity at {q}: row sums to {float(row)!r}")
-        if not any(model.prob[(q, r)] > 0 for r in model.succ(q)):
+        ps = [prob[e] for e in model.row(q).edges]
+        # the row sums to total / den exactly; math.lcm() of nothing is 1
+        den = math.lcm(*[p.denominator for p in ps])
+        total = sum([p.numerator * (den // p.denominator) for p in ps])
+        if abs(total - den) * tol_den > den * tol_num:
+            # int true division rounds as float() of the sum's Fraction does
+            report.append(f"stochasticity at {q}: row sums to {total / den!r}")
+        if not any([p.numerator > 0 for p in ps]):
             report.append(f"seriality at {q}: no positive-probability successor")
     return report
 
@@ -234,21 +245,26 @@ def prune(model: Pots, removal: Iterable[Edge]) -> Pots:
 
 _MODEL_KEYS = {"states", "initial", "labels", "edges"}
 _EDGE_KEYS = {"from", "to", "prob", "cost"}
-_DECIMAL_RE = re.compile(r"\d+(\.\d+)?$")
+_DECIMAL_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
-def _parse_decimal(text: str, where: str) -> Fraction:
+def _parse_decimal(text: str, i: int) -> Fraction:
+    """The exact value of an ASCII decimal string such as ``"0.25"``."""
     if not isinstance(text, str) or not _DECIMAL_RE.fullmatch(text):
         raise ModelError(
-            f"{where}: prob must be a plain decimal string like \"0.25\", "
+            f"edges[{i}]: prob must be a plain decimal string like \"0.25\", "
             f"got {text!r}"
         )
-    return Fraction(text)
+    whole, _, digits = text.partition(".")
+    return Fraction(int(whole + digits), 10 ** len(digits))
 
 
 def loads_model(text: str) -> Pots:
-    """Parse the JSON model format. Unknown keys, duplicate edges and
-    references to undeclared states are rejected."""
+    """Parse the JSON model format. Unknown keys, duplicate edges,
+    references to undeclared states and non-positive probabilities are
+    rejected; each edge is checked once, and the first violation in
+    document order is reported, except that a zero probability is
+    reported only once every edge has passed the other checks."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -272,7 +288,7 @@ def loads_model(text: str) -> Pots:
     if len(state_set) != len(states):
         raise ModelError("duplicate entries in state list")
     initial = doc["initial"]
-    if initial not in state_set:
+    if not isinstance(initial, str) or initial not in state_set:
         raise ModelError(f"initial state {initial!r} not declared")
     labels = doc.get("labels", {})
     if not isinstance(labels, dict):
@@ -282,32 +298,45 @@ def loads_model(text: str) -> Pots:
             raise ModelError(f"labels reference undeclared state {q!r}")
         if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
             raise ModelError(f"labels of {q!r} must be a list of strings")
-    edges = []
-    seen: set[Edge] = set()
     if not isinstance(doc["edges"], list):
         raise ModelError('"edges" must be a list')
+    prob: dict[Edge, Fraction] = {}
+    cost: dict[Edge, int] = {}
+    zero: Edge | None = None
     for i, entry in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
         if not isinstance(entry, dict):
-            raise ModelError(f"{where}: must be an object")
-        unknown = set(entry) - _EDGE_KEYS
-        if unknown:
-            raise ModelError(f"{where}: unknown keys {sorted(unknown)}")
-        missing = _EDGE_KEYS - set(entry)
-        if missing:
-            raise ModelError(f"{where}: missing keys {sorted(missing)}")
+            raise ModelError(f"edges[{i}]: must be an object")
+        if entry.keys() != _EDGE_KEYS:
+            unknown = set(entry) - _EDGE_KEYS
+            if unknown:
+                raise ModelError(f"edges[{i}]: unknown keys {sorted(unknown)}")
+            raise ModelError(f"edges[{i}]: missing keys {sorted(_EDGE_KEYS - set(entry))}")
         frm, to = entry["from"], entry["to"]
-        if frm not in state_set or to not in state_set:
-            raise ModelError(f"{where}: endpoint not in declared states")
-        if (frm, to) in seen:
-            raise ModelError(f"{where}: duplicate edge ({frm}, {to})")
-        seen.add((frm, to))
-        p = _parse_decimal(entry["prob"], where)
-        c = entry["cost"]
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-            raise ModelError(f"{where}: cost must be a non-negative integer")
-        edges.append((frm, to, p, c))
-    return Pots.build(states, initial, edges, {q: v for q, v in labels.items()})
+        named = type(frm) is str and type(to) is str  # a list is unhashable
+        if not (named and frm in state_set and to in state_set):
+            raise ModelError(f"edges[{i}]: endpoint not in declared states")
+        e = (frm, to)
+        if e in prob:
+            raise ModelError(f"edges[{i}]: duplicate edge ({frm}, {to})")
+        p = prob[e] = _parse_decimal(entry["prob"], i)
+        c = cost[e] = entry["cost"]
+        # JSON gives no int subclass but bool
+        if type(c) is not int or c < 0:
+            raise ModelError(f"edges[{i}]: cost must be a non-negative integer")
+        if not p and zero is None:
+            zero = e
+    if zero is not None:
+        raise ModelError(
+            f"edge ({zero[0]!r}, {zero[1]!r}): probability must be positive "
+            "(omit absent edges)"
+        )
+    return Pots(
+        states=tuple(states),
+        initial=initial,
+        prob=prob,
+        labels={q: frozenset(v) for q, v in labels.items()},
+        cost=cost,
+    )
 
 
 def load_model(path: str) -> Pots:

@@ -48,6 +48,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class StepLimit(RuntimeError):
+    """A step bound exceeds the maximum iteration count; raised before the
+    operator is unrolled."""
+
+    def __init__(self, bound: int, max_iterations: int):
+        super().__init__(
+            f"step bound {bound} exceeds the limit of {max_iterations} iterations"
+        )
+
+
 class EnumerationLimit(RuntimeError):
     """The strategy product space exceeds the configured limit."""
 
@@ -274,15 +284,20 @@ def _frame(
     theta: PathFormula,
     sat1: frozenset[str],
     sat2: frozenset[str],
+    max_iterations: int | None,
 ) -> Frame:
     """Next pins nothing; until pins 1 on ``sat2`` and 0 off ``sat1 | sat2``;
-    release pins 1 on ``sat1 & sat2`` and 0 off ``sat2``."""
+    release pins 1 on ``sat1 & sat2`` and 0 off ``sat2``. A step bound
+    above ``max_iterations`` (None: no cap) raises :class:`StepLimit`."""
     if isinstance(theta, Next):
         return Frame(states, 1)
+    bound = getattr(theta, "bound", None)
+    if max_iterations is not None and bound is not None and bound > max_iterations:
+        raise StepLimit(bound, max_iterations)
     if isinstance(theta, (Until, BoundedUntil)):
-        return Frame(sat1 - sat2, getattr(theta, "bound", None))
+        return Frame(sat1 - sat2, bound)
     if isinstance(theta, (Release, BoundedRelease)):
-        return Frame(sat2 - sat1, getattr(theta, "bound", None))
+        return Frame(sat2 - sat1, bound)
     raise TypeError(f"not a core path formula: {theta!r}")
 
 
@@ -336,6 +351,7 @@ def exact_prob(
     theta: PathFormula,
     sat1: frozenset[str],
     sat2: frozenset[str],
+    max_iterations: int | None = None,
 ) -> dict[str, Fraction]:
     """Exact satisfaction probability of a core path formula under a fixed
     memoryless strategy; operand satisfaction sets are supplied resolved
@@ -347,7 +363,7 @@ def exact_prob(
     on the no-leak core of that region. Raises :class:`ModelError` when
     the strategy removes an edge the model does not have."""
     rows = _strategy_rows(model, strategy)
-    frame = _frame(model.states, theta, sat1, sat2)
+    frame = _frame(model.states, theta, sat1, sat2, max_iterations)
     return _fixed_values(model.states, rows, frame, theta, sat1, sat2)
 
 
@@ -423,6 +439,7 @@ def oracle_optimum(
     budget: int,
     mode: str,
     limit: int = DEFAULT_LIMIT,
+    max_iterations: int | None = None,
 ) -> OptimumResult:
     """Pointwise min or max of :func:`exact_prob` over every memoryless
     strategy of the grade, with the first strategy attaining each state's
@@ -439,7 +456,7 @@ def oracle_optimum(
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     states = model.states
-    frame = _frame(states, theta, sat1, sat2)
+    frame = _frame(states, theta, sat1, sat2, max_iterations)
     _check_limit(model, budget, limit)
     per_state = [
         removal_options(model, q, budget) if q in frame.undetermined else [()]
@@ -473,6 +490,7 @@ def step_optimum(
     sat2: frozenset[str],
     budget: int,
     mode: str,
+    max_iterations: int | None = None,
 ) -> dict[str, Fraction]:
     """Exact optimum for next and the step-bounded operators when the
     obstructing player may re-choose removals at every step (the optimum
@@ -480,7 +498,7 @@ def step_optimum(
     are enumerated outright rather than optimized."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    frame = _frame(model.states, theta, sat1, sat2)
+    frame = _frame(model.states, theta, sat1, sat2, max_iterations)
     if frame.sweeps is None:
         raise TypeError(f"step_optimum handles next and bounded operators: {theta!r}")
     pick = min if mode == "min" else max
@@ -508,10 +526,13 @@ def oracle_sat(
     model: Pots,
     phi: StateFormula,
     limit: int = DEFAULT_LIMIT,
+    max_iterations: int | None = None,
 ) -> frozenset[str]:
     """Exact satisfaction set of a state formula. Unbounded operators take
     the optimum over the memoryless enumeration; bounded ones take the
-    step-wise optimum, which matches strategies free to re-choose per step."""
+    step-wise optimum, which matches strategies free to re-choose per step.
+    ``limit`` and ``max_iterations`` apply to every query inside."""
+    cap = max_iterations
     if isinstance(phi, TrueConst):
         return frozenset(model.states)
     if isinstance(phi, FalseConst):
@@ -519,32 +540,35 @@ def oracle_sat(
     if isinstance(phi, Atom):
         return frozenset(q for q in model.states if phi.name in model.label_of(q))
     if isinstance(phi, Not):
-        return frozenset(model.states) - oracle_sat(model, phi.body, limit)
+        return frozenset(model.states) - oracle_sat(model, phi.body, limit, cap)
     if isinstance(phi, And):
-        return oracle_sat(model, phi.left, limit) & oracle_sat(model, phi.right, limit)
+        return oracle_sat(model, phi.left, limit, cap) & oracle_sat(model, phi.right, limit, cap)
     if isinstance(phi, Or):
-        return oracle_sat(model, phi.left, limit) | oracle_sat(model, phi.right, limit)
+        return oracle_sat(model, phi.left, limit, cap) | oracle_sat(model, phi.right, limit, cap)
     if isinstance(phi, Implies):
-        left = oracle_sat(model, phi.left, limit)
-        right = oracle_sat(model, phi.right, limit)
+        left = oracle_sat(model, phi.left, limit, cap)
+        right = oracle_sat(model, phi.right, limit, cap)
         return (frozenset(model.states) - left) | right
     if isinstance(phi, ObstructQuery):
-        values = oracle_query_values(model, phi, limit)
+        values = oracle_query_values(model, phi, limit, max_iterations)
         return frozenset(q for q, v in values.items() if phi.holds(v))
     raise TypeError(f"not a state formula: {phi!r}")
 
 
 def operand_sets(
-    model: Pots, theta: PathFormula, limit: int = DEFAULT_LIMIT
+    model: Pots,
+    theta: PathFormula,
+    limit: int = DEFAULT_LIMIT,
+    max_iterations: int | None = None,
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Exact satisfaction sets of a core path formula's operands (``sat2``
     alone for next)."""
     if isinstance(theta, Next):
-        return frozenset(), oracle_sat(model, theta.body, limit)
+        return frozenset(), oracle_sat(model, theta.body, limit, max_iterations)
     if isinstance(theta, (Until, BoundedUntil, Release, BoundedRelease)):
         return (
-            oracle_sat(model, theta.left, limit),
-            oracle_sat(model, theta.right, limit),
+            oracle_sat(model, theta.left, limit, max_iterations),
+            oracle_sat(model, theta.right, limit, max_iterations),
         )
     raise TypeError(f"not a core path formula: {theta!r}")
 
@@ -557,20 +581,26 @@ def _optimum_values(
     budget: int,
     mode: str,
     limit: int,
+    max_iterations: int | None,
 ) -> dict[str, Fraction]:
     """The optimum a query is decided against: the memoryless optimum for
     until and release, the step-wise optimum otherwise."""
     if isinstance(theta, (Until, Release)):
         return dict(oracle_optimum(model, theta, sat1, sat2, budget, mode, limit).values)
-    return step_optimum(model, theta, sat1, sat2, budget, mode)
+    return step_optimum(model, theta, sat1, sat2, budget, mode, max_iterations)
 
 
 def oracle_query_values(
-    model: Pots, phi: ObstructQuery, limit: int = DEFAULT_LIMIT
+    model: Pots,
+    phi: ObstructQuery,
+    limit: int = DEFAULT_LIMIT,
+    max_iterations: int | None = None,
 ) -> dict[str, Fraction]:
     """The per-state optimum the query's comparison is decided against."""
-    sat1, sat2 = operand_sets(model, phi.body, limit)
-    return _optimum_values(model, phi.body, sat1, sat2, phi.grade, phi.mode, limit)
+    sat1, sat2 = operand_sets(model, phi.body, limit, max_iterations)
+    return _optimum_values(
+        model, phi.body, sat1, sat2, phi.grade, phi.mode, limit, max_iterations
+    )
 
 
 def qualitative_sets(
@@ -581,9 +611,10 @@ def qualitative_sets(
     budget: int,
     mode: str,
     limit: int = DEFAULT_LIMIT,
+    max_iterations: int | None = None,
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Exact zero and one sets of the optimum, for conformance reports."""
-    values = _optimum_values(model, theta, sat1, sat2, budget, mode, limit)
+    values = _optimum_values(model, theta, sat1, sat2, budget, mode, limit, max_iterations)
     zero = frozenset(q for q, v in values.items() if v == 0)
     one = frozenset(q for q, v in values.items() if v == 1)
     return zero, one

@@ -454,6 +454,60 @@ class TestOracle:
         assert Fraction(value(num), value(den)) == want == 1 - Fraction(1, 2**15000)
 
 
+class TestOracleStepCap:
+    def test_step_bound_above_the_engine_cap_exits_four_at_once(self, capsys, chain_path):
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "oracle", "--model", chain_path, "--path", "true U<=100000000 goal"
+        )
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (4, "")
+        assert err == "step bound 100000000 exceeds the limit of 1000000 iterations\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "--path", "true U<=3 goal"),
+            ("oracle", "--path", "goal R<=3 goal", "--mode", "max"),
+            ("oracle", "--formula", "<<0 < 0.5>> F<=3 goal"),
+            ("oracle", "--formula", "<<0 < 0.5>> X (<<0 < 0.5>> F<=3 goal)"),
+            ("oracle", "--path", "(<<0 < 0.5>> F<=3 goal) U goal"),
+            ("conformance", "--path", "(<<0 < 0.5>> F<=3 goal) U goal", "--grade", "1"),
+        ],
+        ids=["until", "release", "query", "nested query", "operand", "conformance"],
+    )
+    def test_max_iterations_caps_every_step_bound(self, capsys, chain_path, argv):
+        code, out, err = run(
+            capsys, argv[0], "--model", chain_path, *argv[1:], "--max-iterations", "2"
+        )
+        assert (code, out) == (4, "")
+        assert err == "step bound 3 exceeds the limit of 2 iterations\n"
+        code, _, _ = run(
+            capsys, argv[0], "--model", chain_path, *argv[1:], "--max-iterations", "3"
+        )
+        assert code == 0
+
+    def test_fixed_strategy_is_capped(self, capsys, chain_path, tmp_path):
+        strategy = tmp_path / "s.json"
+        strategy.write_text('{"grade": 0, "removal": {}}')
+        code, out, err = run(
+            capsys, "oracle", "--model", chain_path, "--path", "true U<=3 goal",
+            "--strategy", str(strategy), "--max-iterations", "2",
+        )
+        assert (code, out) == (4, "")
+        assert "step bound 3" in err
+
+    @pytest.mark.parametrize("command", ["oracle", "conformance"])
+    def test_default_is_the_engine_cap_and_zero_is_rejected(self, capsys, chain_path, command):
+        argv = [command, "--model", chain_path, "--path", "F goal", "--grade", "0"]
+        args = build_parser().parse_args(argv)
+        assert args.max_iterations == DEFAULT_OPTIONS.max_iterations
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-iterations", "0"])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+
 class TestConformance:
     def test_reports_diff_without_failing(self, capsys, attack_graph_path):
         code, payload, _ = run_json(

@@ -50,7 +50,7 @@ def enumerate_best(model, q, budget, value):
     """Reference optimum: every strict subset, exact arithmetic, ties to
     the lexicographically smallest index tuple."""
     edges = edges_of(model, q)
-    weights = [Fraction(model.trans(*e)) * Fraction(value[e[1]]) for e in edges]
+    weights = [Fraction(float(model.prob[e])) * Fraction(value[e[1]]) for e in edges]
     costs = [model.cost_of(*e) for e in edges]
     total = sum(weights, Fraction(0))
     best = None
@@ -276,7 +276,7 @@ class TestBestRemoval:
         m, values = star([(big + i, (i % 7) / 7, i + 1) for i in range(21)])
         removal, surviving = best_removal(m, "hub", 2 * big + 1, values)
         edges = edges_of(m, "hub")
-        weights = [Fraction(m.trans(*e)) * Fraction(values[e[1]]) for e in edges]
+        weights = [Fraction(float(m.prob[e])) * Fraction(values[e[1]]) for e in edges]
         total = sum(weights)
         best = min(
             (total - sum(weights[i] for i in combo), combo)
