@@ -26,7 +26,11 @@ redundant parentheses and unparenthesized connective chains.
 A third line identifies the exact oracle's answers: ``oracle_optimum``
 values and witnesses for all five operators, and ``step_optimum`` values
 for X, U<=3 and R<=3, on ``corpus(2024, 60)`` at grades {0, 1, 2, 4} in
-both modes; rationals enter as ``num/den``.
+both modes; ``exact_prob`` of all five operators under one seeded random
+memoryless strategy per model and grade; and, on ``models/chain.json``,
+``true U<=2000 goal``, whose exact values have hundreds of digits, under
+``exact_prob``, ``oracle_optimum`` and ``step_optimum``. Rationals enter
+as ``num/den``.
 
 A fourth line identifies the command line: the exit code, stdout and
 stderr of ``potl.cli.main`` on each argv of ``cli_argvs()``, on the
@@ -70,10 +74,18 @@ from potl.engine import (
     synthesize,
 )
 from potl.generate import corpus, scaling_model
-from potl.model import ModelError, Pots, dumps_model, fraction_to_decimal, loads_model, validate
-from potl.obstruction import CostRangeError, best_removal
+from potl.model import (
+    ModelError,
+    Pots,
+    dumps_model,
+    fraction_to_decimal,
+    load_model,
+    loads_model,
+    validate,
+)
+from potl.obstruction import CostRangeError, MemorylessStrategy, best_removal, empty_strategy
+from potl.oracle import exact_prob, oracle_optimum, removal_options, step_optimum
 from potl.oracle import operand_sets as oracle_operand_sets
-from potl.oracle import oracle_optimum, step_optimum
 from potl.syntax import (
     Atom,
     BoundedRelease,
@@ -84,6 +96,7 @@ from potl.syntax import (
     Until,
     formula_size,
     parse,
+    parse_path_formula,
     print_state,
 )
 
@@ -140,19 +153,49 @@ def exact(values):
     return tuple((q, str(v)) for q, v in sorted(values.items()))
 
 
-def oracle_results(model):
-    for theta in THETAS:
-        sat1, sat2 = oracle_operand_sets(model, theta)
+def random_strategy(rng, model, grade):
+    """A memoryless strategy with a seeded random removal option per state."""
+    removal = {}
+    for q in model.states:
+        removed = rng.choice(removal_options(model, q, grade))
+        if removed:
+            removal[q] = frozenset(removed)
+    return MemorylessStrategy(grade=grade, removal=removal)
+
+
+def optimum_results(model, theta, sat1, sat2, grade, mode):
+    r = oracle_optimum(model, theta, sat1, sat2, grade, mode)
+    witnesses = tuple(
+        (q, sorted((p, sorted(e)) for p, e in s.removal.items()))
+        for q, s in sorted(r.witnesses.items())
+    )
+    yield ("optimum", exact(r.values), witnesses)
+    if not isinstance(theta, (Until, Release)):
+        yield ("step", exact(step_optimum(model, theta, sat1, sat2, grade, mode)))
+
+
+def oracle_results(model, seed):
+    operands = {theta: oracle_operand_sets(model, theta) for theta in THETAS}
+    for theta, (sat1, sat2) in operands.items():
         for grade in GRADES:
             for mode in MODES:
-                r = oracle_optimum(model, theta, sat1, sat2, grade, mode)
-                witnesses = tuple(
-                    (q, sorted((p, sorted(e)) for p, e in s.removal.items()))
-                    for q, s in sorted(r.witnesses.items())
-                )
-                yield ("optimum", exact(r.values), witnesses)
-                if not isinstance(theta, (Until, Release)):
-                    yield ("step", exact(step_optimum(model, theta, sat1, sat2, grade, mode)))
+                yield from optimum_results(model, theta, sat1, sat2, grade, mode)
+    rng = random.Random(seed)
+    for grade in GRADES:
+        strategy = random_strategy(rng, model, grade)
+        for theta, (sat1, sat2) in operands.items():
+            yield ("fixed", exact(exact_prob(model, strategy, theta, sat1, sat2)))
+
+
+def chain_results():
+    """``true U<=2000 goal`` on the chain: q keeps half its mass per step."""
+    chain = load_model(str(ROOT / CHAIN))
+    theta = parse_path_formula("true U<=2000 goal")
+    sat1, sat2 = oracle_operand_sets(chain, theta)
+    yield ("fixed", exact(exact_prob(chain, empty_strategy(), theta, sat1, sat2)))
+    for grade in (0, 1):
+        for mode in MODES:
+            yield from optimum_results(chain, theta, sat1, sat2, grade, mode)
 
 
 def star(rng, degree, cost, value):
@@ -425,7 +468,8 @@ def main() -> None:
     print(f"results {count} sha256 {hexdigest}")
     count, hexdigest = digest([formula_results(formula_texts())])
     print(f"formulas {count} sha256 {hexdigest}")
-    count, hexdigest = digest([oracle_results(m) for m in corpus(2024, 60)])
+    oracle_streams = [oracle_results(m, seed) for seed, m in enumerate(corpus(2024, 60))]
+    count, hexdigest = digest(oracle_streams + [chain_results()])
     print(f"oracle {count} sha256 {hexdigest}")
     count, hexdigest = digest([cli_results()])
     print(f"cli {count} sha256 {hexdigest}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -256,7 +257,14 @@ def _parse_decimal(text: str, i: int) -> Fraction:
             f"got {text!r}"
         )
     whole, _, digits = text.partition(".")
-    return Fraction(int(whole + digits), 10 ** len(digits))
+    try:
+        numerator = int(whole + digits)
+    except ValueError:  # more digits than int() converts from text
+        raise ModelError(
+            f"edges[{i}]: prob has {len(whole) + len(digits)} digits, more than "
+            f"the interpreter's limit of {sys.get_int_max_str_digits()}"
+        ) from None
+    return Fraction(numerator, 10 ** len(digits))
 
 
 def loads_model(text: str) -> Pots:

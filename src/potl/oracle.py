@@ -7,6 +7,14 @@ elimination, and optima are pointwise extrema over the enumeration. Meant
 for desk-scale models; the enumeration refuses to run past a limit, which
 counts the full strategy product.
 
+The arithmetic is on integers. Each entry point scales the probabilities
+on the rows it reads to integer numerators over one common denominator,
+the lcm of theirs. The unbounded operators solve their integer system by
+fraction-free Gauss-Jordan elimination, whose every division is exact;
+the bounded ones keep numerators over a power of that denominator. A
+``Fraction`` is built only for a value handed back, so no step pays for a
+gcd, and the values are the same canonical rationals.
+
 An optimum walks the removal options of its frame's undetermined states
 only; the other states keep the empty removal. No fixed-strategy value
 reads their rows, and the empty removal comes first in every state's
@@ -20,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import Edge, ModelError, Pots, prune
 from .obstruction import MemorylessStrategy
@@ -164,43 +172,75 @@ def enumerate_strategies(
 
 # -- exact fixed-strategy probabilities ----------------------------------------
 
-# A state's surviving row under some removal: (successor, exact probability)
-# pairs in the model's state order. A strategy's chain is one row per state;
-# no pruned model is built.
-Survivors = tuple[tuple[str, Fraction], ...]
+# A state's surviving row under some removal: (successor, numerator) pairs
+# in the model's state order, each numerator the edge's exact probability
+# times the entry point's common denominator (see _denominator). A
+# strategy's chain is one row per state; no pruned model is built.
+Survivors = tuple[tuple[str, int], ...]
 
 
-def _survivors(model: Pots, q: str, removed: Collection[Edge]) -> Survivors:
+def _denominator(model: Pots, states: Iterable[str]) -> int:
+    """The lcm of the probability denominators on the rows of ``states``:
+    every probability there is an integer over it."""
+    prob = model.prob
+    return math.lcm(*[prob[e].denominator for q in states for e in model.row(q).edges])
+
+
+def _survivors(model: Pots, q: str, removed: Collection[Edge], den: int) -> Survivors:
     row = model.row(q)
+    prob = model.prob
     return tuple(
-        (r, model.prob[e]) for e, r in zip(row.edges, row.succ) if e not in removed
+        (r, prob[e].numerator * (den // prob[e].denominator))
+        for e, r in zip(row.edges, row.succ)
+        if e not in removed
     )
 
 
-def _strategy_rows(model: Pots, strategy: MemorylessStrategy) -> dict[str, Survivors]:
+def _strategy_rows(
+    model: Pots, strategy: MemorylessStrategy, den: int
+) -> dict[str, Survivors]:
     removed = strategy.all_removed()
     for e in removed:
         if e not in model.prob:
             raise ModelError(f"cannot remove non-existent edge {e!r}")
-    return {q: _survivors(model, q, removed) for q in model.states}
+    return {q: _survivors(model, q, removed, den) for q in model.states}
 
 
-def _solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over rationals for a square nonsingular system."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _solve(a: list[list[int]]) -> list[Fraction]:
+    """The solution of a square nonsingular integer system, given as the
+    rows of its augmented matrix ``[A | b]``, which are overwritten.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", 1968). Step
+    ``k`` picks the pivot row as the rational elimination does (the first
+    nonzero entry at or below the diagonal), then sets every other row to
+    ``(p * row - row[k] * pivot_row) / prev``, with ``p`` this step's
+    pivot and ``prev`` the last one. Every entry is then, up to sign, a
+    minor of ``[A | b]``, so the division is exact. After the step the
+    first ``k + 1`` columns are ``p`` times the identity's; they are left
+    unwritten, as no later step reads them. So ``x_i = b_i / p`` for the
+    last pivot ``p``."""
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
             raise ArithmeticError("singular linear system in exact solver")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = ONE / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k]
+        p = top[k]
+        tail = top[k + 1 :]
+        for i in range(n):
+            if i == k:
+                continue
+            row = a[i]
+            f = row[k]
+            if f:
+                row[k + 1 :] = [(p * v - f * w) // prev for v, w in zip(row[k + 1 :], tail)]
+            elif p != prev:
+                row[k + 1 :] = [p * v // prev for v in row[k + 1 :]]
+        prev = p
+    return [Fraction(row[n], prev) for row in a]
 
 
 def _backward_reachable(
@@ -223,11 +263,14 @@ def _backward_reachable(
 def _reach_exact(
     states: Sequence[str],
     rows: Mapping[str, Survivors],
+    den: int,
     through: frozenset[str],
     targets: frozenset[str],
 ) -> dict[str, Fraction]:
     """Exact probability of hitting ``targets`` while travelling through
-    ``through`` only, per start state."""
+    ``through`` only, per start state: the solution of ``(den*I - N) x =
+    b``, with ``N`` the rows' numerators among the unknowns and ``b`` their
+    numerators into ``targets``."""
     values = {q: ZERO for q in states}
     for q in targets:
         values[q] = ONE
@@ -235,35 +278,35 @@ def _reach_exact(
     unknowns = [q for q in states if q in can and q not in targets]
     if not unknowns:
         return values
+    n = len(unknowns)
     index = {q: i for i, q in enumerate(unknowns)}
-    matrix = [[ZERO] * len(unknowns) for _ in unknowns]
-    rhs = [ZERO] * len(unknowns)
+    system = []
     for q in unknowns:
-        i = index[q]
-        matrix[i][i] = ONE
+        row = [0] * (n + 1)
+        row[index[q]] = den
         for r, p in rows[q]:
             if r in targets:
-                rhs[i] += p
+                row[n] += p
             elif r in index:
-                matrix[i][index[r]] -= p
-    solution = _solve(matrix, rhs)
-    for q, v in zip(unknowns, solution):
+                row[index[r]] -= p
+        system.append(row)
+    for q, v in zip(unknowns, _solve(system)):
         values[q] = v
     return values
 
 
 def _stable_core(
-    rows: Mapping[str, Survivors], region: frozenset[str]
+    rows: Mapping[str, Survivors], den: int, region: frozenset[str]
 ) -> frozenset[str]:
     """Largest subset of ``region`` every state of which keeps full
-    probability mass inside the subset; shrinks to a fixpoint in at most
-    |region| rounds."""
+    probability mass (numerators summing to ``den``) inside the subset;
+    shrinks to a fixpoint in at most |region| rounds."""
     core = set(region)
     changed = True
     while changed:
         changed = False
         for q in list(core):
-            if sum((p for r, p in rows[q] if r in core), ZERO) != 1:
+            if sum([p for r, p in rows[q] if r in core]) != den:
                 core.discard(q)
                 changed = True
     return frozenset(core)
@@ -305,44 +348,58 @@ def _unroll(
     states: Sequence[str],
     frame: Frame,
     sat2: frozenset[str],
-    step: Callable[[str, Mapping[str, Fraction]], Fraction],
+    den: int,
+    step: Callable[[str, Mapping[str, int]], int],
 ) -> dict[str, Fraction]:
-    """Backward induction over the frame's step bound."""
-    x = {q: (ONE if q in sat2 else ZERO) for q in states}
+    """Backward induction over the frame's step bound, on numerators: after
+    ``s`` steps every value is an integer over ``scale = den**s``. ``step``
+    gives a state's next numerator from the current ones; a state pinned
+    to 1 holds ``scale``. Each value is divided out once, at the end."""
+    x = {q: (1 if q in sat2 else 0) for q in states}
+    ones = sat2.difference(frame.undetermined)
+    scale = 1
     for _ in range(frame.sweeps):
+        scale *= den
         nxt = dict(x)
+        for q in ones:
+            nxt[q] = scale
         for q in frame.undetermined:
             nxt[q] = step(q, x)
         x = nxt
-    return x
+    # 0 and 1 need no gcd
+    return {
+        q: ZERO if not v else ONE if v == scale else Fraction(v, scale)
+        for q, v in x.items()
+    }
 
 
 def _fixed_values(
     states: Sequence[str],
     rows: Mapping[str, Survivors],
+    den: int,
     frame: Frame,
     theta: PathFormula,
     sat1: frozenset[str],
     sat2: frozenset[str],
 ) -> dict[str, Fraction]:
-    """:func:`exact_prob` on the chain whose state ``q`` keeps ``rows[q]``."""
+    """:func:`exact_prob` on the chain whose state ``q`` keeps ``rows[q]``,
+    numerators over ``den``."""
     if frame.sweeps is not None:
         return _unroll(
             states,
             frame,
             sat2,
-            lambda q, x: sum((p * x[r] for r, p in rows[q] if x[r]), ZERO),
+            den,
+            lambda q, x: sum([p * x[r] for r, p in rows[q]]),
         )
     within = frame.undetermined
     if isinstance(theta, Until):
-        return _reach_exact(states, rows, within, sat2)
-    values = _reach_exact(states, rows, within, sat1 & sat2)
-    core = _stable_core(rows, within)
-    if core:
-        forever = _reach_exact(states, rows, within, core)
-        for q in within:
-            values[q] += forever[q]
-    return values
+        return _reach_exact(states, rows, den, within, sat2)
+    # The two events of release are disjoint: the core keeps all its mass
+    # inside ``within``, which ``sat1 & sat2`` lies outside. So one solve
+    # with both as targets gives their sum.
+    core = _stable_core(rows, den, within)
+    return _reach_exact(states, rows, den, within, (sat1 & sat2) | core)
 
 
 def exact_prob(
@@ -362,9 +419,10 @@ def exact_prob(
     right operand (and off the left one) forever, whose mass concentrates
     on the no-leak core of that region. Raises :class:`ModelError` when
     the strategy removes an edge the model does not have."""
-    rows = _strategy_rows(model, strategy)
+    den = _denominator(model, model.states)
+    rows = _strategy_rows(model, strategy, den)
     frame = _frame(model.states, theta, sat1, sat2, max_iterations)
-    return _fixed_values(model.states, rows, frame, theta, sat1, sat2)
+    return _fixed_values(model.states, rows, den, frame, theta, sat1, sat2)
 
 
 def exact_bounded_by_paths(
@@ -462,8 +520,11 @@ def oracle_optimum(
         removal_options(model, q, budget) if q in frame.undetermined else [()]
         for q in states
     ]
+    den = _denominator(model, frame.undetermined)
     per_state_rows = [
-        [_survivors(model, q, removed) for removed in options]
+        [_survivors(model, q, removed, den) for removed in options]
+        if q in frame.undetermined
+        else [()]  # never read
         for q, options in zip(states, per_state)
     ]
     best: dict[str, Fraction] = {}
@@ -472,7 +533,7 @@ def oracle_optimum(
         itertools.product(*per_state), itertools.product(*per_state_rows)
     ):
         rows = dict(zip(states, chosen))
-        values = _fixed_values(states, rows, frame, theta, sat1, sat2)
+        values = _fixed_values(states, rows, den, frame, theta, sat1, sat2)
         strategy = None
         for q, v in values.items():
             if q not in best or (v < best[q] if mode == "min" else v > best[q]):
@@ -502,20 +563,21 @@ def step_optimum(
     if frame.sweeps is None:
         raise TypeError(f"step_optimum handles next and bounded operators: {theta!r}")
     pick = min if mode == "min" else max
+    den = _denominator(model, frame.undetermined)
     rows = {
         q: [
-            _survivors(model, q, removed)
+            _survivors(model, q, removed, den)
             for removed in removal_options(model, q, budget)
         ]
         for q in frame.undetermined
     }
+    # every candidate is a numerator over the same power of den
     return _unroll(
         model.states,
         frame,
         sat2,
-        lambda q, x: pick(
-            sum((p * x[r] for r, p in row if x[r]), ZERO) for row in rows[q]
-        ),
+        den,
+        lambda q, x: pick([sum([p * x[r] for r, p in row]) for row in rows[q]]),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -368,6 +369,32 @@ class TestValidate:
     def test_unreadable_model_exit_three(self, capsys, tmp_path):
         code, _, _ = run(capsys, "validate", "--model", str(tmp_path / "missing.json"))
         assert code == 3
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+    @pytest.mark.parametrize(
+        "command", [["validate"], ["check", "--formula", "true"]], ids=["validate", "check"]
+    )
+    def test_prob_past_the_digit_limit_exits_three(self, capsys, tmp_path, command):
+        limit = sys.get_int_max_str_digits()
+        long = tmp_path / "long.json"
+        long.write_text(
+            json.dumps(
+                {
+                    "states": ["q"],
+                    "initial": "q",
+                    "edges": [
+                        {"from": "q", "to": "q", "prob": "0." + "0" * limit + "1", "cost": 0}
+                    ],
+                }
+            )
+        )
+        code, out, err = run(capsys, command[0], "--model", str(long), *command[1:])
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"invalid model: edges[0]: prob has {limit + 2} digits, more than the "
+            f"interpreter's limit of {limit}\n"
+        )
 
 
 class TestOracle:

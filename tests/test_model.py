@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -536,6 +537,26 @@ class TestFileFormat:
         with pytest.raises(ModelError) as exc:
             loads_model(json.dumps(doc))
         assert str(exc.value) == message
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+    def test_prob_longer_than_the_digit_limit_names_the_edge(self):
+        limit = sys.get_int_max_str_digits()
+        doc = _document()
+        _edge(1, prob="0." + "0" * limit + "1")(doc)
+        with pytest.raises(ModelError) as exc:
+            loads_model(json.dumps(doc))
+        assert str(exc.value) == (
+            f"edges[1]: prob has {limit + 2} digits, more than the "
+            f"interpreter's limit of {limit}"
+        )
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+    def test_prob_at_the_digit_limit_loads_exactly(self):
+        limit = sys.get_int_max_str_digits()
+        doc = _document()
+        _edge(1, prob="0." + "0" * (limit - 2) + "1")(doc)
+        model = loads_model(json.dumps(doc))
+        assert model.prob[("S0", "S2")] == Fraction(1, 10 ** (limit - 1))
 
     def test_zero_probability_edge_rejected(self):
         with pytest.raises(ModelError):

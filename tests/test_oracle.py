@@ -543,3 +543,264 @@ class TestFormulaLevel:
         assert oracle_sat(chain, parse("goal | !goal")) == frozenset(chain.states)
         assert oracle_sat(chain, parse("goal & !goal")) == frozenset()
         assert oracle_sat(chain, parse("goal -> goal")) == frozenset(chain.states)
+
+
+def rational_gauss_jordan(matrix, rhs):
+    """Gauss-Jordan elimination over ``Fraction``, pivoting on the first
+    nonzero entry at or below the diagonal: the reference for the oracle's
+    fraction-free solve."""
+    n = len(matrix)
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def fraction_free(matrix, rhs):
+    return oracle._solve([list(row) + [b] for row, b in zip(matrix, rhs)])
+
+
+def random_system(rng, n):
+    """An n x n integer system with many zero entries, so that pivots are
+    often zero and some systems are singular."""
+    scale = rng.choice([9, 1001, 10**30])
+    matrix = [
+        [rng.randint(-scale, scale) if rng.random() < 0.6 else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+    return matrix, [rng.randint(-scale, scale) for _ in range(n)]
+
+
+class TestFractionFreeSolve:
+    def test_seeded_systems_match_the_rational_elimination(self):
+        rng = random.Random(2024)
+        solved = singular = swapped = 0
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            matrix, rhs = random_system(rng, n)
+            try:
+                expected = rational_gauss_jordan(matrix, rhs)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError, match="singular"):
+                    fraction_free(matrix, rhs)
+                singular += 1
+                continue
+            assert fraction_free(matrix, rhs) == expected
+            solved += 1
+            swapped += matrix[0][0] == 0
+        assert solved > 300 and singular > 50 and swapped > 50
+
+    @pytest.mark.parametrize(
+        "matrix, rhs, solution",
+        [
+            ([[0, 2], [3, 1]], [4, 5], [1, 2]),
+            # the second pivot is zero only after the first step
+            ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], [6, 9, 8], [1, 2, 3]),
+            ([[0, 0, 7], [0, 1001, 0], [13, 0, 0]], [7, 1, 2], [Fraction(2, 13), Fraction(1, 1001), 1]),
+        ],
+        ids=["first pivot", "later pivot", "anti-diagonal"],
+    )
+    def test_zero_pivots_swap_rows(self, matrix, rhs, solution):
+        assert rational_gauss_jordan(matrix, rhs) == solution
+        assert fraction_free(matrix, rhs) == solution
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0]],
+            [[1, 2], [2, 4]],
+            [[0, 1], [0, 1]],
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+            [[1001, -7, 0], [-11, 13, 0], [5, 5, 0]],
+        ],
+        ids=["zero", "dependent rows", "zero column", "rank two", "last column zero"],
+    )
+    def test_singular_systems_raise(self, matrix):
+        rhs = [1] * len(matrix)
+        with pytest.raises(ArithmeticError):
+            rational_gauss_jordan(matrix, rhs)
+        with pytest.raises(ArithmeticError, match="singular linear system"):
+            fraction_free(matrix, rhs)
+
+
+def reference_reach(pruned, through, targets):
+    """Probability of reaching ``targets`` through ``through`` only, on a
+    pruned model, solved over ``Fraction``."""
+    can = set(targets)
+    changed = True
+    while changed:
+        changed = False
+        for q in through:
+            if q not in can and any(r in can for r in pruned.succ(q)):
+                can.add(q)
+                changed = True
+    unknowns = [q for q in pruned.states if q in can and q not in targets]
+    index = {q: i for i, q in enumerate(unknowns)}
+    matrix = [[Fraction(i == j) for j in range(len(unknowns))] for i in range(len(unknowns))]
+    rhs = [Fraction(0)] * len(unknowns)
+    for q in unknowns:
+        for r in pruned.succ(q):
+            p = pruned.prob_exact(q, r)
+            if r in targets:
+                rhs[index[q]] += p
+            elif r in index:
+                matrix[index[q]][index[r]] -= p
+    values = {q: Fraction(q in targets) for q in pruned.states}
+    if unknowns:
+        values.update(zip(unknowns, rational_gauss_jordan(matrix, rhs)))
+    return values
+
+
+def reference_unbounded(model, strategy, theta, sat1, sat2):
+    """Until and release under a fixed strategy, over ``Fraction`` on the
+    pruned model: reach ``sat2`` through ``sat1 - sat2``; for release,
+    reach ``sat1 & sat2`` or the no-leak core of ``sat2 - sat1``."""
+    pruned = prune(model, strategy.all_removed())
+    if isinstance(theta, Until):
+        return reference_reach(pruned, sat1 - sat2, sat2)
+    within = sat2 - sat1
+    values = reference_reach(pruned, within, sat1 & sat2)
+    core = set(within)
+    while any(
+        sum((pruned.prob_exact(q, r) for r in pruned.succ(q) if r in core), Fraction(0)) != 1
+        for q in core
+    ):
+        core = {
+            q for q in core
+            if sum((pruned.prob_exact(q, r) for r in pruned.succ(q) if r in core), Fraction(0)) == 1
+        }
+    if core:
+        forever = reference_reach(pruned, within, frozenset(core))
+        for q in within:
+            values[q] += forever[q]
+    return values
+
+
+def seeded_strategy(rng, model, grade):
+    """A memoryless strategy with a seeded random removal option per state."""
+    removal = {}
+    for q in model.states:
+        removed = rng.choice(removal_options(model, q, grade))
+        if removed:
+            removal[q] = frozenset(removed)
+    return MemorylessStrategy(grade=grade, removal=removal)
+
+
+# den = lcm(7, 11, 13) = 1001. Until(a, b) solves the 2-state cycle {s, t};
+# release(a, b) runs through {u, x}, where x is the no-leak core.
+COPRIME = Pots.build(
+    ["s", "t", "u", "goal", "x", "z"],
+    "s",
+    [
+        ("s", "t", Fraction(3, 7), 1),
+        ("s", "s", Fraction(1, 7), 1),
+        ("s", "z", Fraction(3, 7), 2),
+        ("t", "s", Fraction(5, 11), 1),
+        ("t", "u", Fraction(4, 11), 2),
+        ("t", "t", Fraction(2, 11), 1),
+        ("u", "u", Fraction(1, 13), 1),
+        ("u", "goal", Fraction(5, 13), 2),
+        ("u", "t", Fraction(4, 13), 1),
+        ("u", "x", Fraction(3, 13), 1),
+        ("goal", "goal", 1, 0),
+        ("x", "x", 1, 0),
+        ("z", "z", 1, 0),
+    ],
+    labels={"s": ["a"], "t": ["a"], "u": ["b"], "goal": ["a", "b"], "x": ["b"]},
+)
+
+
+def reference_step_optimum(model, theta, sat1, sat2, grade, mode):
+    """Backward induction over ``Fraction`` on pruned models, re-choosing
+    the removal at every step."""
+    pick = min if mode == "min" else max
+    frame = sat1 - sat2 if isinstance(theta, BoundedUntil) else sat2 - sat1
+    pruned = {
+        q: [prune(model, removed) for removed in removal_options(model, q, grade)]
+        for q in frame
+    }
+    x = {q: Fraction(q in sat2) for q in model.states}
+    for _ in range(theta.bound):
+        x = {
+            q: pick(
+                sum((m.prob_exact(q, r) * x[r] for r in m.succ(q)), Fraction(0))
+                for m in pruned[q]
+            )
+            if q in frame
+            else x[q]
+            for q in model.states
+        }
+    return x
+
+
+class TestIntegerArithmetic:
+    """The oracle computes over integer numerators of one common
+    denominator; these check it against references over ``Fraction``."""
+
+    def test_unbounded_values_match_the_rational_reference(self):
+        rng = random.Random(2024)
+        for model in corpus(2024, 40):
+            sat1, sat2 = label_sets(model)
+            for grade in (0, 1, 2, 4):
+                strategy = seeded_strategy(rng, model, grade)
+                for theta in (Until(Atom("a"), Atom("b")), Release(Atom("a"), Atom("b"))):
+                    assert exact_prob(model, strategy, theta, sat1, sat2) == (
+                        reference_unbounded(model, strategy, theta, sat1, sat2)
+                    )
+
+    def test_coprime_denominators(self):
+        assert oracle._denominator(COPRIME, COPRIME.states) == 1001
+        sat1, sat2 = label_sets(COPRIME)
+        strategies = list(enumerate_strategies(COPRIME, 2))
+        assert len(strategies) > 50
+        for strategy in strategies:
+            for theta in (Until(Atom("a"), Atom("b")), Release(Atom("a"), Atom("b"))):
+                assert exact_prob(COPRIME, strategy, theta, sat1, sat2) == (
+                    reference_unbounded(COPRIME, strategy, theta, sat1, sat2)
+                )
+            for theta in (
+                Next(Atom("b")),
+                BoundedUntil(Atom("a"), Atom("b"), 4),
+                BoundedRelease(Atom("a"), Atom("b"), 4),
+            ):
+                values = exact_prob(COPRIME, strategy, theta, sat1, sat2)
+                for q in COPRIME.states:
+                    assert values[q] == exact_bounded_by_paths(
+                        COPRIME, strategy, theta, sat1, sat2, q
+                    )
+
+    def test_coprime_values_are_not_trivial(self):
+        sat1, sat2 = label_sets(COPRIME)
+        until = exact_prob(COPRIME, empty_strategy(), Until(Atom("a"), Atom("b")), sat1, sat2)
+        release = exact_prob(
+            COPRIME, empty_strategy(), Release(Atom("a"), Atom("b")), sat1, sat2
+        )
+        # s = 1/7 s + 3/7 t and t = 5/11 s + 2/11 t + 4/11
+        assert until["s"] == Fraction(4, 13) and until["t"] == Fraction(8, 13)
+        # u = 1/13 u + 5/13 + 3/13, through goal or into the core x
+        assert release["u"] == Fraction(2, 3) and release["x"] == 1
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_coprime_optima(self, mode):
+        sat1, sat2 = label_sets(COPRIME)
+        for grade in (0, 1, 2, 4):
+            for theta in VIEW_THETAS:
+                best, witness = first_attaining(COPRIME, theta, sat1, sat2, grade, mode)
+                result = oracle_optimum(COPRIME, theta, sat1, sat2, grade, mode)
+                assert dict(result.values) == best
+                assert dict(result.witnesses) == witness
+            for theta in (
+                BoundedUntil(Atom("a"), Atom("b"), 5),
+                BoundedRelease(Atom("a"), Atom("b"), 5),
+            ):
+                assert step_optimum(COPRIME, theta, sat1, sat2, grade, mode) == (
+                    reference_step_optimum(COPRIME, theta, sat1, sat2, grade, mode)
+                )
