@@ -14,8 +14,9 @@ U, R<=3 and R over atoms a and b, at grades {0, 1, 2, 4} in both modes:
 - ``check`` of a few nested formulas, one with an atom the model lacks;
 
 plus ``best_removal`` on seeded star rows (degree 1 to 12, successor
-values at the edges of the float range, rows wide enough for the
-knapsack, huge costs, and rows whose cost range is rejected).
+values at the edges of the float range, rows with more than 64 removal
+sets, which take the Pareto-front knapsack, and rows of costs near
+2**31: listed at degree 3 and 5, through the front at degree 21).
 
 A second line identifies the parser's output the same way: ``repr`` of
 the parsed formula, its printed form and ``formula_size`` for each of
@@ -215,7 +216,7 @@ def removal_results(seed=2024, rows=3000):
         return rng.choice(EDGE_VALUES) if rng.random() < 0.2 else rng.random()
 
     for k in range(rows):
-        if k % 100 == 99:  # huge costs: gcd scaling, the walk, or a range error
+        if k % 100 == 99:  # huge costs: a listed row, or 21 edges through the front
             big = 2**31
             degree, budget = rng.choice(
                 [(3, 2 * big), (5, 2 * big + 1), (5, 8 * big), (21, 8 * big)]

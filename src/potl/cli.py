@@ -3,11 +3,11 @@
 Exit codes: 0 success (and, for check, initial state satisfied); 1 check
 ran but the initial state does not satisfy; 2 usage or formula errors,
 including a negative grade, an enumeration limit below 1, an epsilon that
-is not finite and positive, a maximum iteration count below 1, edge costs
-too wide for the removal optimizer, a strategy file that cannot be
-written, and input nested deeper than Python's recursion limit; 3 invalid
-model; 4 no convergence, or a step bound above the maximum iteration
-count; 5 oracle enumeration too large.
+is not finite and positive, a maximum iteration count below 1, a state
+whose removal optimizer front outgrows its cap, a strategy file that
+cannot be written, and input nested deeper than Python's recursion limit;
+3 invalid model; 4 no convergence, or a step bound above the maximum
+iteration count; 5 oracle enumeration too large.
 
 ``main`` owns the exit-code table: the commands raise, and ``main`` maps
 ``_CliError`` to its code and the engine's, oracle's and optimizer's

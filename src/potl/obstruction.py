@@ -10,8 +10,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .model import Edge, ModelError, Pots, edges_of
@@ -100,16 +100,16 @@ def obstruct_pred(model: Pots, budget: int, targets: Iterable[str]) -> frozenset
 
 
 class CostRangeError(ValueError):
-    """The edge costs at a state span too wide a range for the removal
-    optimizer: the knapsack table would be too large and the state has
-    too many edges to enumerate their subsets."""
+    """The edge costs and weights at a state are spread so wide that the
+    removal optimizer would merge a Pareto front from more than
+    ``_FRONT_CAP`` pairs; this needs a row of more than 21 edges."""
 
 
-_DP_CAP = 200_000
-_ENUM_FALLBACK_DEGREE = 20
 # rows with at most this many strict removal sets at a budget pick from a
-# cached list of them; longer lists go to the knapsack
+# cached list of them; longer lists go to the Pareto front
 _MAX_OPTIONS = 64
+# the most (cost, weight) pairs one front may be merged from
+_FRONT_CAP = 2**20
 
 
 def _walk(
@@ -152,82 +152,78 @@ def _heaviest(
     return best_w, best
 
 
-def _knapsack(
-    weights: list[int], costs: Sequence[int], budget: int
-) -> tuple[int, tuple[int, ...]] | None:
-    """0/1 knapsack maximizing removed weight within the budget; among
-    optima the lexicographically smallest index set wins. None when the
-    table would be too large even after dividing the costs by their gcd.
-
-    Max weight comes from a suffix DP over the budget; the argmax is then
-    rebuilt greedily front to back, taking the earliest index that still
-    permits the optimum. Stitching tie-broken sets cell by cell instead
-    would lose: a zero-weight item can make a set lexicographically
-    smaller, but only once a later item joins it.
-    """
-    d = len(weights)
-    cap = min(budget, sum(c for c in costs if c <= budget))
-    if cap > _DP_CAP:
-        step = 0
-        for c in costs:
-            step = gcd(step, c)
-        step = gcd(step, budget) or 1
-        if cap // step > _DP_CAP:
-            if d > _ENUM_FALLBACK_DEGREE:
-                raise CostRangeError(
-                    "cost range too wide for the removal optimizer "
-                    f"(capacity {cap}, degree {d})"
-                )
-            return None
-        costs = [c // step for c in costs]
-        cap //= step
-        budget = cap
-
-    # table[j][b]: best removable weight from items j.. with budget b
-    table = [[]] * d + [[0] * (cap + 1)]
-    for j in range(d - 1, -1, -1):
-        w, c = weights[j], costs[j]
-        nxt = table[j + 1]
-        table[j] = nxt[:c] + [
-            keep if keep >= w + take else w + take
-            for keep, take in zip(nxt[c:], nxt)
-        ]
-
-    optimum = table[0][cap]
-    chosen: list[int] = []
-    remaining, b, j = optimum, cap, 0
-    while remaining > 0:
-        for f in range(j, d):
-            if costs[f] <= b and weights[f] + table[f + 1][b - costs[f]] == remaining:
-                chosen.append(f)
-                remaining -= weights[f]
-                b -= costs[f]
-                j = f + 1
-                break
-        else:  # pragma: no cover - the DP guarantees a witness exists
-            raise AssertionError("knapsack reconstruction lost its optimum")
-    return optimum, tuple(chosen)
+def _merge(ac: list, aw: list, bc: list, bw: list) -> tuple[list, list]:
+    """Merge two fronts, each a list of costs and one of weights: keep the
+    pairs, in cost order, that remove more than every pair before them."""
+    oc, ow, i, k, top = [], [], 0, 0, -1
+    while i < len(ac) and k < len(bc):
+        if ac[i] <= bc[k]:
+            c, w, i = ac[i], aw[i], i + 1
+        else:
+            c, w, k = bc[k], bw[k], k + 1
+        if w > top:
+            oc.append(c)
+            ow.append(w)
+            top = w
+    for rc, rw, n in ((ac, aw, i), (bc, bw, k)):
+        while n < len(rc) and rw[n] <= top:
+            n += 1
+        oc += rc[n:]
+        ow += rw[n:]
+    return oc, ow
 
 
-def _strict_knapsack(
+def _pareto_heaviest(
     weights: list[int], costs: Sequence[int], budget: int
 ) -> tuple[int, tuple[int, ...]]:
-    """The best strict removal set of a row with too many options to list.
-    When the knapsack removes everything it is rerun with each edge pinned
-    kept; when its table would be too large, every option is walked."""
-    best = _knapsack(weights, costs, budget)
-    if best is None:
-        return _heaviest(weights, _walk(costs, budget))
-    if len(best[1]) == len(costs):
-        best = None
-        for keep in range(len(costs)):
-            idx = [i for i in range(len(costs)) if i != keep]
-            # a subset of the row fits the table whenever the row does
-            w, t = _knapsack([weights[i] for i in idx], [costs[i] for i in idx], budget)
-            cand = (w, tuple(idx[i] for i in t))
-            if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                best = cand
-    return best
+    """``_heaviest`` over every strict removal set within the budget,
+    without listing them. A suffix DP (Nemhauser & Ullmann, "Discrete
+    dynamic programming and capital allocation") builds ``fronts[j]``, the
+    Pareto front of the strict subsets of the edges from j on within the
+    budget, and ``whole[j]``, the cost and weight of all of them. The set
+    is then built front to back: each step takes the earliest edge whose
+    best completion removes the most, or stops, which is lexicographically
+    first, when none adds weight. Stitching tie-broken sets instead would
+    lose: a zero-weight edge makes a set smaller once a later edge joins.
+    """
+    d = len(costs)
+    whole, fronts = [(0, 0)] * (d + 1), [([], [])] * (d + 1)
+    for j in range(d - 1, 0, -1):  # the walk below never reads fronts[0]
+        fc, fw = fronts[j + 1]
+        wc, ww = whole[j + 1]
+        c, w = costs[j], weights[j]
+        # edge j kept beside any subset of the rest, or removed beside a strict one
+        ac, aw = (fc + [wc], fw + [ww]) if wc <= budget else (fc, fw)
+        k = bisect_right(fc, budget - c)
+        if len(ac) + k > _FRONT_CAP:
+            raise CostRangeError(
+                "cost range too wide for the removal optimizer "
+                f"(a front of up to {len(ac) + k} pairs, degree {d})"
+            )
+        fronts[j] = _merge(ac, aw, [x + c for x in fc[:k]], [x + w for x in fw[:k]])
+        whole[j] = (wc + c, ww + w)
+
+    def most(j: int, b: int, strict: bool) -> int | None:
+        # the most a subset of the edges from j on removes within b, None
+        # if none fits; it need not be strict once an earlier edge is kept
+        if not strict and whole[j][0] <= b:
+            return whole[j][1]
+        k = bisect_right(fronts[j][0], b)
+        return fronts[j][1][k - 1] if k else None
+
+    chosen, j, b, strict = [], 0, budget, True
+    while True:
+        gain, pick = 0, None
+        for f in range(j, d):  # taking f keeps the edges from j to f - 1
+            rest = most(f + 1, b - costs[f], strict and f == j) if costs[f] <= b else None
+            if rest is not None and weights[f] + rest > gain:
+                gain, pick = weights[f] + rest, f
+        if pick is None:
+            return sum(weights[f] for f in chosen), tuple(chosen)
+        chosen.append(pick)
+        b -= costs[pick]
+        strict = strict and pick == j
+        j = pick + 1
 
 
 def best_removal(
@@ -240,11 +236,13 @@ def best_removal(
     ``value`` over the successors, subject to the cost budget.
 
     Ties break to the lexicographically smallest set under the model's edge
-    order. The empty set is always feasible, so this never fails on a
-    serial model. Comparisons are exact: each weight, a float probability
-    times a float value, is a dyadic rational, held as an integer over one
-    power-of-two denominator shared by the row. The surviving value is
-    rounded to a float once, correctly.
+    order. Rows with more than ``_MAX_OPTIONS`` strict removal sets go to a
+    Pareto-front knapsack, which raises CostRangeError when a front of a
+    row of more than 21 edges outgrows ``_FRONT_CAP``. Comparisons are
+    exact: each weight, a float probability times a float value, is a
+    dyadic rational, held as an integer over one power-of-two denominator
+    shared by the row. The surviving value is rounded to a float once,
+    correctly.
     """
     row = model.row(q)
     costs = row.costs
@@ -270,7 +268,7 @@ def best_removal(
         # no edge fits the budget: the empty removal is the only option
         return (), total / (1 << (top - 2))
     if options is None:
-        removed_w, chosen = _strict_knapsack(weights, costs, budget)
+        removed_w, chosen = _pareto_heaviest(weights, costs, budget)
     else:
         removed_w, chosen = _heaviest(weights, options)
     survived = (total - removed_w) / (1 << (top - 2))

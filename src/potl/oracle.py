@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -247,16 +248,19 @@ def _backward_reachable(
     rows: Mapping[str, Survivors], targets: frozenset[str], through: frozenset[str]
 ) -> set[str]:
     """States with a positive-probability path to ``targets`` whose
-    intermediate states all lie in ``through``: a fixpoint over the
-    successor rows, at most |through| rounds."""
+    intermediate states all lie in ``through``: a worklist from the
+    targets back along the rows of ``through``."""
+    pred: dict[str, list[str]] = {}
+    for q in through:
+        for r, _ in rows[q]:
+            pred.setdefault(r, []).append(q)
     reached = set(targets)
-    changed = True
-    while changed:
-        changed = False
-        for q in through:
-            if q not in reached and any(r in reached for r, _ in rows[q]):
+    work = list(reached)
+    while work:
+        for q in pred.get(work.pop(), ()):
+            if q not in reached:
                 reached.add(q)
-                changed = True
+                work.append(q)
     return reached
 
 
@@ -299,16 +303,26 @@ def _stable_core(
     rows: Mapping[str, Survivors], den: int, region: frozenset[str]
 ) -> frozenset[str]:
     """Largest subset of ``region`` every state of which keeps full
-    probability mass (numerators summing to ``den``) inside the subset;
-    shrinks to a fixpoint in at most |region| rounds."""
-    core = set(region)
-    changed = True
-    while changed:
-        changed = False
-        for q in list(core):
-            if sum([p for r, p in rows[q] if r in core]) != den:
-                core.discard(q)
-                changed = True
+    probability mass (numerators summing to ``den``) inside the subset. A
+    worklist drops each state that leaks and takes its numerators off the
+    in-subset sums of its predecessors; sums only fall, so the order in
+    which states leave does not change the result."""
+    inside = dict.fromkeys(region, 0)
+    pred: dict[str, list[tuple[str, int]]] = {}
+    for q in region:
+        for r, p in rows[q]:
+            if r in inside:
+                inside[q] += p
+                pred.setdefault(r, []).append((q, p))
+    work = [q for q in region if inside[q] != den]
+    core = set(region).difference(work)
+    while work:
+        for q, p in pred.get(work.pop(), ()):
+            if q in core:
+                inside[q] -= p
+                if inside[q] != den:
+                    core.discard(q)
+                    work.append(q)
     return frozenset(core)
 
 
@@ -527,6 +541,7 @@ def oracle_optimum(
         else [()]  # never read
         for q, options in zip(states, per_state)
     ]
+    better = operator.lt if mode == "min" else operator.gt
     best: dict[str, Fraction] = {}
     witness: dict[str, MemorylessStrategy] = {}
     for assignment, chosen in zip(
@@ -534,10 +549,16 @@ def oracle_optimum(
     ):
         rows = dict(zip(states, chosen))
         values = _fixed_values(states, rows, den, frame, theta, sat1, sat2)
+        if not best:
+            # the first strategy is every state's witness so far; a state
+            # off the frame keeps its value under every strategy
+            best = values
+            witness = dict.fromkeys(values, _strategy(model, budget, assignment))
+            continue
         strategy = None
-        for q, v in values.items():
-            if q not in best or (v < best[q] if mode == "min" else v > best[q]):
-                best[q] = v
+        for q in frame.undetermined:
+            if better(values[q], best[q]):
+                best[q] = values[q]
                 if strategy is None:
                     strategy = _strategy(model, budget, assignment)
                 witness[q] = strategy

@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -136,25 +137,57 @@ class TestCheck:
         assert out == ""
         assert name in err
 
-    def test_cost_range_too_wide_exits_two(self, capsys, tmp_path):
-        # 22 edges with odd costs near 10^5: the knapsack table is too large
-        # and the state has too many edges to enumerate its removal sets
-        targets = [f"t{i}" for i in range(22)]
+    @staticmethod
+    def star_model(tmp_path, probs, costs, goals):
+        """A state s with an edge to each t_i, which loops; ``goals`` are
+        the indices of the t_i labelled goal."""
+        targets = [f"t{i}" for i in range(len(probs))]
         edges = [
-            {"from": "s", "to": t, "prob": "0.16" if i == 0 else "0.04", "cost": 100003 + 2 * i}
-            for i, t in enumerate(targets)
+            {"from": "s", "to": t, "prob": p, "cost": c}
+            for t, p, c in zip(targets, probs, costs)
         ]
         edges += [{"from": t, "to": t, "prob": "1", "cost": 0} for t in targets]
+        labels = {targets[i]: ["goal"] for i in goals}
         model = tmp_path / "wide.json"
         model.write_text(json.dumps(
-            {"states": ["s", *targets], "initial": "s", "labels": {"t0": ["goal"]}, "edges": edges}
+            {"states": ["s", *targets], "initial": "s", "labels": labels, "edges": edges}
         ))
+        return str(model)
+
+    def test_wide_cost_row_is_answered(self, capsys, tmp_path):
+        # 22 edges with odd costs near 10^5, all of them affordable; only
+        # the edge to t0 leads to goal, so every optimum removes it, and
+        # the lexicographically smallest optimum removes it alone
+        model = self.star_model(
+            tmp_path, ["0.16"] + ["0.04"] * 21, [100003 + 2 * i for i in range(22)], [0]
+        )
+        code, payload, _ = run_json(
+            capsys, "check", "--model", model, "--formula", "<<3000000 < 0.5>> X goal"
+        )
+        assert code == 0
+        assert "s" in payload["sat"]
+        assert payload["probabilities"]["s"] == "0"
+        code, payload, _ = run_json(
+            capsys, "synthesize", "--model", model, "--path", "X goal", "--grade", "3000000"
+        )
+        assert code == 0
+        assert payload["strategy"]["removal"] == {"s": [["s", "t0"]]}
+
+    def test_cost_range_too_wide_exits_two(self, capsys, tmp_path):
+        # edge i costs 2**i and has probability 2**i / 2**22 (the last one
+        # 2**-22 more), and every t_i is goal: every strict removal set is
+        # on the optimizer's Pareto front, which outgrows its cap
+        probs = [f"{Decimal(2**i + (i == 21)) / 2**22:f}" for i in range(22)]
+        model = self.star_model(tmp_path, probs, [2**i for i in range(22)], range(22))
         code, out, err = run(
-            capsys, "check", "--model", str(model), "--formula", "<<3000000 < 0.5>> X goal"
+            capsys, "check", "--model", model, "--formula", "<<4194304 < 0.5>> X goal"
         )
         assert code == 2
         assert out == ""
-        assert "cost range too wide" in err
+        assert (
+            "cost range too wide for the removal optimizer "
+            "(a front of up to 2097151 pairs, degree 22)" in err
+        )
 
 
 class TestNegativeGrade:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import potl.obstruction
 from potl.generate import random_pots
 from potl.model import Pots, edges_of
 from potl.obstruction import (
+    CostRangeError,
     MemorylessStrategy,
     _options,
     best_removal,
@@ -21,6 +23,7 @@ from potl.obstruction import (
     strategy_to_json,
     validate_strategy,
 )
+from potl.oracle import removal_options
 
 
 def star(costs_values):
@@ -64,6 +67,30 @@ def enumerate_best(model, q, budget, value):
                 best = key
     surviving, combo = best
     return tuple(edges[i] for i in combo), surviving
+
+
+def affordable_best(model, q, budget, value):
+    """Reference optimum over ``oracle.removal_options``, which lists only
+    the strict removal sets within the budget: exact ``Fraction`` weights,
+    summed as integers over their common denominator, and ties to the
+    lexicographically smallest index tuple."""
+    edges = edges_of(model, q)
+    weights = [Fraction(float(model.prob[e])) * Fraction(value[e[1]]) for e in edges]
+    den = math.lcm(*(w.denominator for w in weights))
+    num = {e: int(w * den) for e, w in zip(edges, weights)}
+    position = {e: i for i, e in enumerate(edges)}
+    removed, combo = min(
+        (-sum(map(num.__getitem__, option)), tuple(map(position.__getitem__, option)))
+        for option in removal_options(model, q, budget)
+    )
+    return tuple(edges[i] for i in combo), Fraction(sum(num.values()) + removed, den)
+
+
+def superincreasing_star(degree):
+    """Edge i costs 2**i and leads, with probability proportional to 2**i,
+    to a state of value 1: every strict removal set is on the knapsack's
+    Pareto front."""
+    return star([(2**i, 1.0, 2**i) for i in range(degree)])
 
 
 class TestSetOperators:
@@ -203,7 +230,7 @@ class TestBestRemoval:
             # weights [5/7, 0, 0], everything affordable: the smallest
             # optimum removes the heavy edge alone
             ([(1, 1.0, 5), (1, 0.0, 1), (1, 0.0, 1)], 3),
-            # every edge affordable, so the strictness retry decides; in
+            # every edge affordable, so strictness decides; in
             # the second row two lightest edges tie and keeping the later
             # one gives the smaller removal set
             ([(1, 0.25, 1), (1, 0.75, 2), (1, 0.5, 3)], 3),
@@ -260,7 +287,7 @@ class TestBestRemoval:
     @pytest.mark.parametrize("budget, listed", [(2, True), (3, False), (8, False)])
     def test_both_sides_of_the_option_list_bound(self, budget, listed):
         # eight edges of cost 1: 37 strict removal sets within budget 2,
-        # 93 within 3, and the strictness retry decides at 8
+        # 93 within 3, and strictness decides at 8
         edge_values = [0.3, 0.9, 0.05, 0.9, 0.6, 1e-300, 0.1, 0.7]
         m, values = star([(1, v, w) for w, v in enumerate(edge_values, 1)])
         assert (_options(m.row("hub").costs, budget) is not None) == listed
@@ -291,27 +318,77 @@ class TestBestRemoval:
         m, values = star([(0, 1.0, 5), (0, 0.0, 1), (0, 0.0, 1)])
         assert best_removal(m, "hub", 0, values) == ((("hub", "t0"),), 0.0)
 
-    def test_huge_divisible_costs_scale_by_gcd(self):
+    def test_huge_divisible_costs_reach_the_front(self):
+        # nine edges of cost 2**31: 256 strict removal sets within four of them
         big = 2**31
-        m, values = star([(big, 1.0, 5), (big, 0.5, 3), (big, 0.25, 2)])
-        removal, surviving = best_removal(m, "hub", 2 * big, values)
-        want_removal, want_surviving = enumerate_best(m, "hub", 2 * big, values)
+        m, values = star([(big, v, w) for w, v in enumerate([1.0, 0.5, 0.25] * 3, 1)])
+        assert _options(m.row("hub").costs, 4 * big) is None
+        removal, surviving = best_removal(m, "hub", 4 * big, values)
+        want_removal, want_surviving = enumerate_best(m, "hub", 4 * big, values)
         assert removal == want_removal
-        assert Fraction(surviving) == Fraction(float(want_surviving))
+        assert surviving == float(want_surviving)
 
-    def test_huge_coprime_costs_fall_back_to_enumeration(self):
+    def test_huge_coprime_costs_reach_the_front(self):
+        # ten edges of cost near 2**31 with no common divisor: past the
+        # option list within three of them plus a little
         big = 2**31
-        m, values = star([(big, 1.0, 5), (big + 1, 0.5, 3), (big + 3, 0.25, 2)])
-        removal, surviving = best_removal(m, "hub", 2 * big + 1, values)
-        want_removal, want_surviving = enumerate_best(m, "hub", 2 * big + 1, values)
+        costs = [big, big + 1, big + 3, big + 2, big, big + 3, big + 1, big, big + 2, big + 3]
+        m, values = star([(c, i / 10, 10 - i) for i, c in enumerate(costs)])
+        budget = 3 * big + 5
+        assert _options(m.row("hub").costs, budget) is None
+        removal, surviving = best_removal(m, "hub", budget, values)
+        want_removal, want_surviving = enumerate_best(m, "hub", budget, values)
         assert removal == want_removal
-        assert Fraction(surviving) == Fraction(float(want_surviving))
+        assert surviving == float(want_surviving)
 
-    def test_unmanageable_cost_spread_rejected(self):
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**9), huge=st.booleans())
+    def test_matches_enumeration_past_the_option_list(self, seed, huge):
+        rng = random.Random(seed)
+        degree = rng.randint(9, 13)
+        big = 2**31 if huge else 0
+        costs = [big + rng.randint(0, 3) for _ in range(degree)]
+        # any four edges fit, so there are at least 256 strict removal sets
+        budget = rng.randint(4 * (big + 3), max(sum(costs), 4 * (big + 3)) + 3)
+        profile = [
+            (c, rng.random() if rng.random() < 0.7 else rng.choice(EDGE_VALUES), rng.randint(1, 9))
+            for c in costs
+        ]
+        m, values = star(profile)
+        assert _options(m.row("hub").costs, budget) is None
+        removal, surviving = best_removal(m, "hub", budget, values)
+        expected_removal, expected_surviving = enumerate_best(m, "hub", budget, values)
+        assert removal == expected_removal
+        assert surviving == float(expected_surviving)
+
+    def test_wide_cost_spread_is_answered(self):
+        # 21 edges of odd cost near 2**31, any seven of which fit the budget
         spread = [(2**31 + 2 * k + 1, 1.0, 1) for k in range(21)]
         m, values = star(spread)
-        with pytest.raises(ValueError):
-            best_removal(m, "hub", 2**34, values)
+        removal, surviving = best_removal(m, "hub", 2**34, values)
+        want_removal, want_surviving = affordable_best(m, "hub", 2**34, values)
+        assert len(removal) == 7
+        assert removal == want_removal
+        assert surviving == float(want_surviving)
+
+    @pytest.mark.parametrize("degree", [8, 21])
+    def test_superincreasing_row_within_the_cap_is_answered(self, degree):
+        # a suffix of k edges has 2**k - 1 strict subsets and the first
+        # edge's front is never built, so up to 21 edges fit under the cap
+        m, values = superincreasing_star(degree)
+        removal, surviving = best_removal(m, "hub", 2**degree, values)
+        # everything but the cheapest, lightest edge
+        assert removal == tuple(edges_of(m, "hub")[1:])
+        assert surviving == float(Fraction(1, 2**degree - 1))
+
+    def test_unmanageable_cost_spread_rejected(self):
+        m, values = superincreasing_star(22)
+        with pytest.raises(
+            CostRangeError,
+            match=r"^cost range too wide for the removal optimizer "
+            r"\(a front of up to 2097151 pairs, degree 22\)$",
+        ):
+            best_removal(m, "hub", 2**22, values)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**9))

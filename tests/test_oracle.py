@@ -530,6 +530,58 @@ class TestFrameWalk:
                     assert set(strategy.removal) <= set(FRAMES[theta])
 
 
+def rescanned_reachable(rows, targets, through):
+    """``_backward_reachable`` by its definition: rescan ``through`` until
+    no state joins."""
+    reached = set(targets)
+    while True:
+        new = {q for q in through - reached if any(r in reached for r, _ in rows[q])}
+        if not new:
+            return reached
+        reached |= new
+
+
+def rescanned_core(rows, den, region):
+    """``_stable_core`` by its definition: drop every leaking state until
+    none leaks."""
+    core = set(region)
+    while True:
+        leaking = {q for q in core if sum(p for r, p in rows[q] if r in core) != den}
+        if not leaking:
+            return frozenset(core)
+        core -= leaking
+
+
+class TestFixpoints:
+    """Reachability and the no-leak core are computed by worklists; both
+    are unique fixpoints, so they equal their rescanning definitions."""
+
+    def test_a_leak_drains_the_chain_behind_it(self):
+        rows = {"a": (("b", 4),), "b": (("c", 4),), "c": (("c", 1), ("out", 3))}
+        assert oracle._stable_core(rows, 4, frozenset("abc")) == frozenset()
+        assert oracle._stable_core(rows, 4, frozenset("ab")) == frozenset()
+
+    def test_worklists_match_the_definitions(self):
+        rng = random.Random(2024)
+        den = 12
+        for _ in range(300):
+            states = [f"s{i}" for i in range(rng.randint(1, 12))]
+            rows = {}
+            for q in states:
+                succ = rng.sample(states, rng.randint(1, min(3, len(states))))
+                cuts = sorted(rng.randint(0, den) for _ in succ[1:])
+                nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+                if rng.random() < 0.2:  # a removed edge: the row keeps less than den
+                    succ, nums = succ[:-1], nums[:-1]
+                rows[q] = tuple((r, p) for r, p in zip(succ, nums) if p)
+            region = frozenset(q for q in states if rng.random() < 0.7)
+            targets = frozenset(q for q in states if rng.random() < 0.2)
+            assert oracle._stable_core(rows, den, region) == rescanned_core(rows, den, region)
+            assert oracle._backward_reachable(rows, targets, region) == rescanned_reachable(
+                rows, targets, region
+            )
+
+
 class TestFormulaLevel:
     def test_attack_graph_matches_golden_file(self, attack_graph, golden_path):
         golden = json.loads(golden_path.read_text())
