@@ -102,7 +102,9 @@ def obstruct_pred(model: Pots, budget: int, targets: Iterable[str]) -> frozenset
 class CostRangeError(ValueError):
     """The edge costs and weights at a state are spread so wide that the
     removal optimizer would merge a Pareto front from more than
-    ``_FRONT_CAP`` pairs; this needs a row of more than 21 edges."""
+    ``_FRONT_CAP`` pairs. A front of a suffix of k edges holds at most
+    2**k - 1 pairs and one per cost within the budget, so this needs a row
+    of more than 21 edges and a budget of at least 2**19 - 1."""
 
 
 # rows with at most this many strict removal sets at a budget pick from a
@@ -153,24 +155,22 @@ def _heaviest(
 
 
 def _merge(ac: list, aw: list, bc: list, bw: list) -> tuple[list, list]:
-    """Merge two fronts, each a list of costs and one of weights: keep the
-    pairs, in cost order, that remove more than every pair before them."""
-    oc, ow, i, k, top = [], [], 0, 0, -1
-    while i < len(ac) and k < len(bc):
-        if ac[i] <= bc[k]:
+    """Merge two lists of costs and weights, each in cost order, into a
+    front: the pairs, in cost order, that remove more than every pair
+    before them (here a sentinel), and of one cost only the heaviest."""
+    oc, ow, i, k, na, nb = [-1], [-1], 0, 0, len(ac), len(bc)
+    while i < na or k < nb:
+        if k == nb or i < na and ac[i] <= bc[k]:
             c, w, i = ac[i], aw[i], i + 1
         else:
             c, w, k = bc[k], bw[k], k + 1
-        if w > top:
-            oc.append(c)
-            ow.append(w)
-            top = w
-    for rc, rw, n in ((ac, aw, i), (bc, bw, k)):
-        while n < len(rc) and rw[n] <= top:
-            n += 1
-        oc += rc[n:]
-        ow += rw[n:]
-    return oc, ow
+        if w > ow[-1]:
+            if oc[-1] == c:
+                ow[-1] = w
+            else:
+                oc.append(c)
+                ow.append(w)
+    return oc[1:], ow[1:]
 
 
 def _pareto_heaviest(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -303,26 +302,19 @@ def _stable_core(
     rows: Mapping[str, Survivors], den: int, region: frozenset[str]
 ) -> frozenset[str]:
     """Largest subset of ``region`` every state of which keeps full
-    probability mass (numerators summing to ``den``) inside the subset. A
-    worklist drops each state that leaks and takes its numerators off the
-    in-subset sums of its predecessors; sums only fall, so the order in
-    which states leave does not change the result."""
-    inside = dict.fromkeys(region, 0)
-    pred: dict[str, list[tuple[str, int]]] = {}
+    probability mass (numerators summing to ``den``) inside the subset: a
+    worklist that rechecks a state's predecessors when it leaves."""
+    pred: dict[str, list[str]] = {}
     for q in region:
-        for r, p in rows[q]:
-            if r in inside:
-                inside[q] += p
-                pred.setdefault(r, []).append((q, p))
-    work = [q for q in region if inside[q] != den]
-    core = set(region).difference(work)
+        for r, _ in rows[q]:
+            pred.setdefault(r, []).append(q)
+    core = set(region)
+    work = list(region)
     while work:
-        for q, p in pred.get(work.pop(), ()):
-            if q in core:
-                inside[q] -= p
-                if inside[q] != den:
-                    core.discard(q)
-                    work.append(q)
+        q = work.pop()
+        if q in core and sum([p for r, p in rows[q] if r in core]) != den:
+            core.discard(q)
+            work += pred.get(q, ())
     return frozenset(core)
 
 
@@ -541,7 +533,6 @@ def oracle_optimum(
         else [()]  # never read
         for q, options in zip(states, per_state)
     ]
-    better = operator.lt if mode == "min" else operator.gt
     best: dict[str, Fraction] = {}
     witness: dict[str, MemorylessStrategy] = {}
     for assignment, chosen in zip(
@@ -549,16 +540,12 @@ def oracle_optimum(
     ):
         rows = dict(zip(states, chosen))
         values = _fixed_values(states, rows, den, frame, theta, sat1, sat2)
-        if not best:
-            # the first strategy is every state's witness so far; a state
-            # off the frame keeps its value under every strategy
-            best = values
-            witness = dict.fromkeys(values, _strategy(model, budget, assignment))
-            continue
         strategy = None
-        for q in frame.undetermined:
-            if better(values[q], best[q]):
-                best[q] = values[q]
+        # a state off the frame keeps one value under every strategy
+        for q in frame.undetermined if best else values:
+            v = values[q]
+            if q not in best or (v < best[q] if mode == "min" else v > best[q]):
+                best[q] = v
                 if strategy is None:
                     strategy = _strategy(model, budget, assignment)
                 witness[q] = strategy

@@ -173,6 +173,22 @@ class TestCheck:
         assert code == 0
         assert payload["strategy"]["removal"] == {"s": [["s", "t0"]]}
 
+    def test_free_edges_are_answered(self, capsys, tmp_path):
+        # 22 free edges to goal, each more likely than all later ones
+        # together: at grade 0 the obstructor keeps only the edge to t21
+        probs = [f"{Decimal(2**(21 - i) + (i == 0)) / 2**22:f}" for i in range(22)]
+        model = self.star_model(tmp_path, probs, [0] * 22, range(22))
+        code, payload, _ = run_json(
+            capsys, "check", "--model", model, "--formula", "<<0 < 0.5>> X goal"
+        )
+        assert code == 0
+        assert payload["probabilities"]["s"] == repr(2**-22)
+        code, payload, _ = run_json(
+            capsys, "synthesize", "--model", model, "--path", "X goal", "--grade", "0"
+        )
+        assert code == 0
+        assert payload["strategy"]["removal"] == {"s": sorted(["s", f"t{i}"] for i in range(21))}
+
     def test_cost_range_too_wide_exits_two(self, capsys, tmp_path):
         # edge i costs 2**i and has probability 2**i / 2**22 (the last one
         # 2**-22 more), and every t_i is goal: every strict removal set is

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from potl.model import Pots, edges_of
 from potl.obstruction import (
     CostRangeError,
     MemorylessStrategy,
+    _merge,
     _options,
     best_removal,
     can_cut,
@@ -371,15 +373,44 @@ class TestBestRemoval:
         assert removal == want_removal
         assert surviving == float(want_surviving)
 
-    @pytest.mark.parametrize("degree", [8, 21])
+    @pytest.mark.parametrize("degree", [8, 16])
     def test_superincreasing_row_within_the_cap_is_answered(self, degree):
-        # a suffix of k edges has 2**k - 1 strict subsets and the first
-        # edge's front is never built, so up to 21 edges fit under the cap
+        # a suffix of k edges has 2**k - 1 strict subsets, all on its front
         m, values = superincreasing_star(degree)
         removal, surviving = best_removal(m, "hub", 2**degree, values)
         # everything but the cheapest, lightest edge
         assert removal == tuple(edges_of(m, "hub")[1:])
         assert surviving == float(Fraction(1, 2**degree - 1))
+
+    def test_free_edges_share_one_front_pair(self):
+        # 22 free edges, each heavier than all later ones together: every
+        # strict subset removes a weight of its own, but at budget 0 a
+        # front keeps only the heaviest pair of cost 0
+        m, values = star([(0, 1.0, 2 ** (21 - i)) for i in range(22)])
+        assert _options(m.row("hub").costs, 0) is None
+        removal, surviving = best_removal(m, "hub", 0, values)
+        assert removal == tuple(e for e in edges_of(m, "hub") if e != ("hub", "t21"))
+        assert surviving == float(Fraction(1, 2**22 - 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_merge_is_a_front(self, seed):
+        # two cost-ordered lists with tied costs and weights merge into
+        # pairs rising in both, which remove as much within every budget
+        rng = random.Random(seed)
+        lists = [
+            sorted(((rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(0, 9))),
+                   key=lambda pair: pair[0])
+            for _ in range(2)
+        ]
+        (ac, aw), (bc, bw) = ([[c for c, _ in l], [w for _, w in l]] for l in lists)
+        oc, ow = _merge(ac, aw, bc, bw)
+        assert all(x < y for x, y in zip(oc, oc[1:]))
+        assert all(x < y for x, y in zip(ow, ow[1:]))
+        for b in range(-1, 8):
+            within = [w for pairs in lists for c, w in pairs if c <= b]
+            k = bisect_right(oc, b)
+            assert (ow[k - 1] if k else None) == max(within, default=None)
 
     def test_unmanageable_cost_spread_rejected(self):
         m, values = superincreasing_star(22)
