@@ -6,7 +6,6 @@ from .engine import (
     ConvergenceError,
     EngineOptions,
     check,
-    check_path,
     path_values,
     prob_bounded_release,
     prob_bounded_until,

@@ -5,7 +5,8 @@ ran but the initial state does not satisfy; 2 usage or formula errors,
 including a negative grade, an enumeration limit below 1, an epsilon that
 is not finite and positive, a maximum iteration count below 1, a state
 whose removal optimizer front outgrows its cap, a strategy file that
-cannot be written, and input nested deeper than Python's recursion limit;
+cannot be written, a formula number of more digits than Python converts
+to an int, and input nested deeper than Python's recursion limit;
 3 invalid model; 4 no convergence, or a step bound above the maximum
 iteration count; 5 oracle enumeration too large.
 
@@ -176,28 +177,28 @@ def _cmd_prob(args) -> int:
     model = _load_valid_model(args.model)
     theta = _read_path(args)
     opts = _engine_options(args)
+    stats = engine.Stats()
     if args.strategy is not None:
         strategy = _load_strategy_for(model, args.strategy)
-        stats = engine.Stats()
         sat1, sat2 = engine.operand_sets(model, theta, opts, stats)
         values = engine.prob_fixed(model, strategy, theta, sat1, sat2, opts, stats)
-        result = engine.CheckResult(
-            formula=print_path(theta),
-            sat=frozenset(),
-            values=values,
-            mode="fixed",
-            grade=strategy.grade,
-            iterations=stats.iterations,
-            warnings=stats.warnings,
-        )
+        mode, grade = "fixed", strategy.grade
     else:
-        result = engine.check_path(model, theta, args.grade, args.mode, opts)
-    values = result.values or {}
+        values = engine.path_values(model, theta, args.grade, args.mode, opts, stats)
+        mode, grade = args.mode, args.grade
     if args.state is not None:
         if args.state not in model.states:
             raise _CliError(f"unknown state {args.state!r}", EXIT_USAGE)
         values = {args.state: values[args.state]}
-        result.values = values
+    result = engine.CheckResult(
+        formula=print_path(theta),
+        sat=frozenset(),
+        values=values,
+        mode=mode,
+        grade=grade,
+        iterations=stats.iterations,
+        warnings=stats.warnings,
+    )
     lines = [f"path:      {result.formula}"]
     lines += [f"{q}: {_float_text(v)}" for q, v in sorted(values.items())]
     for warning in result.warnings:

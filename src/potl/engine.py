@@ -2,14 +2,14 @@
 
 Formulas are processed bottom-up; each obstruction query turns into a
 per-state optimum over removal strategies. Every core path operator is a
-frame: the states pinned to 1, the states pinned to 0, the undetermined
-states a sweep updates, their start values, and a sweep plan. One Jacobi
-sweep serves all five operators: next is one sweep, the step-bounded
-operators are k sweeps, and unbounded until and release repeat it to a
-fixed point, either with the optimizer as the step (value iteration) or
-with a fixed policy's row sums as the step (the power method inside
-policy iteration). The sweeps run on two value buffers that swap roles
-after each sweep, so no vector is copied per sweep.
+frame, the whole solve: start values that pin every state but the
+undetermined ones a sweep updates, a sweep plan, and a sweep count: one
+for next, k for the step-bounded operators, none for unbounded until and
+release, which sweep to a fixed point. One Jacobi loop runs every frame,
+either with the optimizer as the step (value iteration) or with a fixed
+policy's row sums as the step (the power method inside policy
+iteration). The sweeps run on two value buffers that swap roles after
+each sweep, so no vector is copied per sweep.
 
 A sweep steps only the undetermined states whose value can still
 change. The plan, read off the unpruned graph once per frame, gives each
@@ -59,7 +59,6 @@ from .syntax import (
     StateFormula,
     TrueConst,
     Until,
-    print_path,
     print_state,
 )
 
@@ -108,11 +107,11 @@ class Stats:
 
 
 class Frame(NamedTuple):
-    """One core operator's shape. ``start`` holds every state's value before
-    the first sweep; pinned states are the ones outside ``undetermined`` and
-    keep their start value. ``sweeps`` is the step count, or None for a
-    fixed point. ``plan`` is ``(order, live)`` from ``_sweep_plan``, or None
-    to step every undetermined state in every sweep."""
+    """One core operator's whole solve, which ``_iterate`` runs. ``start``
+    holds every state's value before the first sweep; states outside
+    ``undetermined`` are pinned to it. ``sweeps`` is the step count, or None
+    for a fixed point. ``plan`` is ``(order, live)`` from ``_sweep_plan``,
+    or None to step every undetermined state in every sweep."""
 
     start: dict[str, float]
     undetermined: list[str]
@@ -165,12 +164,12 @@ def _frame(
     else:
         raise TypeError(f"not a core path operator: {op!r}")
     undetermined = [q for q in model.states if q in inside]
-    plan = _sweep_plan(model, undetermined, inside, sweeps)
+    plan = _sweep_plan(model, undetermined, inside)
     return Frame(start, undetermined, sweeps, plan)
 
 
 def _sweep_plan(
-    model: Pots, undetermined: list[str], inside: frozenset[str], sweeps: int | None
+    model: Pots, undetermined: list[str], inside: frozenset[str]
 ) -> tuple[list[str], list[int]] | None:
     """The frame's sweep plan, from the unpruned graph alone. Each
     undetermined state off every cycle of undetermined states gets
@@ -181,19 +180,17 @@ def _sweep_plan(
     ``order`` puts the states that never settle first, then the rest by
     ``last``, latest first, so the states sweep s steps are the prefix
     ``order[:live[s]]``; ``live`` ends with its final length repeated.
-    None when there is at most one sweep or no state settles."""
-    if not undetermined or (sweeps is not None and sweeps < 2):
-        return None
+    None when no state settles."""
     waiting = {}
     for q in undetermined:
         succ = model.row(q).succ
         if not inside.isdisjoint(succ):
             waiting[q] = len(inside.intersection(succ))
     n = len(undetermined)
-    if not waiting:  # every state settles after sweep 1
-        return undetermined, [n, n, 0, 0]
-    if len(waiting) == n:
+    if len(waiting) == n:  # no state settles, or there is none
         return None
+    if not waiting:  # every state settles after sweep 1: there is nothing to walk
+        return undetermined, [n, n, 0, 0]
     # Kahn's order settles the states by ascending last sweep, so the
     # successor that releases a state is its latest
     settled = [q for q in undetermined if q not in waiting]
@@ -228,15 +225,13 @@ def _optimal_step(model: Pots, frame: Frame, budget: int, mode: str) -> Step:
 
 
 def _iterate(
-    frame: Frame,
-    sweeps: int | None,
-    step: Step,
-    opts: EngineOptions,
-    stats: Stats | None,
+    frame: Frame, step: Step, opts: EngineOptions, stats: Stats | None
 ) -> dict[str, float]:
     """Jacobi sweeps over the frame's undetermined states, from its start:
-    ``sweeps`` of them or, when ``sweeps`` is None, until no value moves by
-    epsilon or more. Either way at most ``opts.max_iterations`` sweeps run.
+    ``frame.sweeps`` of them or, for a fixed point (``sweeps`` None), until
+    no value moves by epsilon or more. One loop runs both; only a fixed
+    point takes a residual. Either way at most ``opts.max_iterations``
+    sweeps run.
 
     Each sweep calls the step only for the states the frame's plan still
     steps. A state past its last sweep would get the same float from the
@@ -247,9 +242,11 @@ def _iterate(
     every sweep: a sweep reads one and writes the other, and the pinned
     entries are never written. ``frame.start`` itself is left as it was,
     since policy iteration starts every round from it."""
-    if sweeps is not None and sweeps > opts.max_iterations:
+    fixed = frame.sweeps is None
+    limit = opts.max_iterations if fixed else frame.sweeps
+    if limit > opts.max_iterations:
         raise ConvergenceError(
-            f"step bound {sweeps} exceeds the limit of {opts.max_iterations} iterations"
+            f"step bound {limit} exceeds the limit of {opts.max_iterations} iterations"
         )
     # sweep s steps order[:live[s]] and copies order[live[s]:live[s - 1]],
     # whose last sweep was the one before, so that both buffers hold their
@@ -257,34 +254,28 @@ def _iterate(
     order, live = frame.plan or (frame.undetermined, ())
     update, stages = order, len(live)
     x, nxt = dict(frame.start), dict(frame.start)
-    if sweeps is not None:
-        # a step bound fixes the sweep count, so no residual is taken
-        for s in range(1, sweeps + 1):
-            if s < stages:
-                update = order[: live[s]]
-                for q in order[live[s] : live[s - 1]]:
-                    nxt[q] = x[q]
-            for q in update:
-                nxt[q] = step(q, x)
-            x, nxt = nxt, x
-        if stats is not None:
-            stats.iterations += sweeps
-        return x
-    for s in range(1, opts.max_iterations + 1):
+    s = 0
+    for s in range(1, limit + 1):
         if s < stages:
             update = order[: live[s]]
             for q in order[live[s] : live[s - 1]]:
                 nxt[q] = x[q]
-        delta = 0.0
         for q in update:
-            v = nxt[q] = step(q, x)
-            delta = max(delta, abs(v - x[q]))
+            nxt[q] = step(q, x)
         x, nxt = nxt, x
-        if stats is not None:
-            stats.iterations += 1
-        if delta < opts.epsilon:
-            return x
-    raise ConvergenceError(f"no convergence within {opts.max_iterations} iterations")
+        if fixed:
+            # no any(): its generator would make x and nxt slower closure cells
+            for q in update:
+                if abs(x[q] - nxt[q]) >= opts.epsilon:
+                    break
+            else:
+                break  # no value moved by epsilon: the fixed point
+    else:
+        if fixed:
+            raise ConvergenceError(f"no convergence within {limit} iterations")
+    if stats is not None:
+        stats.iterations += s
+    return x
 
 
 def _policy_step(model: Pots, policy: Mapping[str, Removal]) -> Step:
@@ -312,7 +303,7 @@ def _policy_iteration(
     method from the frame's start."""
     policy: dict[str, Removal] = {q: () for q in frame.undetermined}
     for _ in range(_POLICY_ROUNDS):
-        x = _iterate(frame, None, _policy_step(model, policy), opts, stats)
+        x = _iterate(frame, _policy_step(model, policy), opts, stats)
         # conservative improvement: the inner solve carries up to about an
         # epsilon of residual, so switching on smaller gains just makes
         # near-tied argmins flip forever
@@ -341,7 +332,7 @@ def _optimum(
         x = _policy_iteration(model, frame, budget, opts, stats)
     else:
         step = _optimal_step(model, frame, budget, mode)
-        x = _iterate(frame, frame.sweeps, step, opts, stats)
+        x = _iterate(frame, step, opts, stats)
     # pinned entries are exactly 0.0 or 1.0, which the clamp keeps
     for q in frame.undetermined:
         x[q] = _clamp(x[q])
@@ -475,10 +466,10 @@ def synthesize(
     fixed-strategy evaluation, which an exact re-run must reproduce)."""
     frame = _frame(model, type(theta), sat1, sat2, getattr(theta, "bound", None))
     if frame.sweeps is None:
-        basis = _dispatch_path(model, theta, sat1, sat2, budget, "min", opts, stats)
+        basis = _optimum(model, frame, budget, "min", opts, stats)
     else:
         step = _optimal_step(model, frame, budget, "min")
-        basis = _iterate(frame, max(frame.sweeps - 1, 0), step, opts, stats)
+        basis = _iterate(frame._replace(sweeps=max(frame.sweeps - 1, 0)), step, opts, stats)
         if frame.sweeps and stats is not None:
             stats.iterations += 1  # the extraction below is the horizon's last sweep
     removal = {}
@@ -661,27 +652,6 @@ def check(
         values=values,
         mode=mode,
         grade=grade,
-        iterations=stats.iterations,
-        warnings=stats.warnings,
-    )
-
-
-def check_path(
-    model: Pots,
-    theta: PathFormula,
-    budget: int,
-    mode: str,
-    opts: EngineOptions = DEFAULT_OPTIONS,
-) -> CheckResult:
-    """Query result for a bare path formula at a given grade and mode."""
-    stats = Stats()
-    values = path_values(model, theta, budget, mode, opts, stats)
-    return CheckResult(
-        formula=print_path(theta),
-        sat=frozenset(),
-        values=values,
-        mode=mode,
-        grade=budget,
         iterations=stats.iterations,
         warnings=stats.warnings,
     )

@@ -22,6 +22,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -116,7 +117,7 @@ class Pots:
     ) -> "Pots":
         """Assemble a model from an edge list. ``prob`` entries may be exact
         rationals, decimal strings, or ints; floats are rejected to keep the
-        exact path exact."""
+        exact path exact. Costs must be ints; bools are rejected."""
         states = tuple(states)
         prob: dict[Edge, Fraction] = {}
         cost: dict[Edge, int] = {}
@@ -135,8 +136,10 @@ class Pots:
                     f"edge ({frm!r}, {to!r}): probability must be positive "
                     "(omit absent edges)"
                 )
+            if type(c) is not int:  # a bool is an int subclass, not a cost
+                raise ModelError(f"edge ({frm!r}, {to!r}): cost must be an int, not {c!r}")
             prob[e] = value
-            cost[e] = int(c)
+            cost[e] = c
         lab = {q: frozenset(v) for q, v in (labels or {}).items()}
         return cls(states=states, initial=initial, prob=prob, labels=lab, cost=cost)
 
@@ -204,7 +207,9 @@ def validate(model: Pots) -> list[str]:
         if not (0 <= p.numerator <= p.denominator):
             report.append(f"probability out of [0,1] on edge ({q}, {r}): {p}")
     for (q, r), c in model.cost.items():
-        if not (0 <= c <= MAX_COST):
+        if type(c) is not int:
+            report.append(f"cost not an integer on edge ({q}, {r}): {c!r}")
+        elif not (0 <= c <= MAX_COST):
             report.append(f"cost out of range on edge ({q}, {r}): {c}")
     prob = model.prob
     tol_num, tol_den = ROW_SUM_TOL.numerator, ROW_SUM_TOL.denominator
@@ -352,34 +357,42 @@ def load_model(path: str) -> Pots:
         return loads_model(handle.read())
 
 
+def _decimal_places(den: int) -> int | None:
+    """The fewest decimal places that write ``1/den`` exactly: the larger
+    of the powers of 2 and 5 in ``den``, or None when ``den`` has another
+    prime factor."""
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    return max(twos, fives) if den == 1 else None
+
+
 def decimal_terminates(value: Fraction) -> bool:
     """Whether the decimal expansion of ``value`` terminates: its
     denominator divides a power of ten."""
-    den = value.denominator
-    while den % 2 == 0:
-        den //= 2
-    while den % 5 == 0:
-        den //= 5
-    return den == 1
+    return _decimal_places(value.denominator) is not None
 
 
 def fraction_to_decimal(value: Fraction, max_digits: int = 17) -> str:
-    """Render a rational in [0, 1] as a decimal string, exactly when the
-    denominator divides a power of ten, else rounded to ``max_digits``."""
-    if decimal_terminates(value):
-        # terminating expansion: scale until integral
-        digits = 0
-        scaled = value
-        while scaled.denominator != 1 and digits < 40:
-            scaled *= 10
-            digits += 1
-        text = str(scaled.numerator).rjust(digits + 1, "0")
-        if digits == 0:
-            return text
-        return text[:-digits].rjust(1, "0") + "." + text[-digits:]
-    scaled = round(value * 10**max_digits)
-    text = str(scaled).rjust(max_digits + 1, "0")
-    return (text[:-max_digits] + "." + text[-max_digits:]).rstrip("0")
+    """Render a rational in [0, 1] as a decimal string: exactly, however
+    many digits that takes, when the denominator divides a power of ten,
+    else rounded to ``max_digits``."""
+    digits = _decimal_places(value.denominator)
+    if digits is None:
+        digits = max_digits
+        scaled = round(value * 10**digits)
+    else:
+        scaled = value.numerator * 10**digits // value.denominator
+    # str() refuses ints past the interpreter's digit limit (4,300 by
+    # default); an integral Decimal converts exactly and prints every digit
+    text = str(Decimal(scaled)).rjust(digits + 1, "0")
+    if digits == 0:
+        return text
+    # an exact expansion has no trailing zero to strip
+    return (text[:-digits] + "." + text[-digits:]).rstrip("0")
 
 
 def dumps_model(model: Pots) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,6 +202,19 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _integer(tok: Token) -> int:
+    """The digits of a numeral token, a decimal's point dropped, as an int."""
+    digits = tok.text.replace(".", "")
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts from text
+        raise ParseError(
+            f"number has {len(digits)} digits, more than the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()}",
+            tok.pos,
+        ) from None
+
+
 # -- parser ---------------------------------------------------------------
 
 
@@ -307,23 +321,24 @@ class _Parser:
         threshold = self.parse_prob()
         self.expect("rangle", "'>>'")
         body = self.parse_path()
-        return ObstructQuery(int(grade_tok.text), cmp, threshold, body)
+        return ObstructQuery(_integer(grade_tok), cmp, threshold, body)
 
     def parse_prob(self) -> Fraction:
         tok = self.peek()
         if tok.kind == "decimal":
             self.advance()
-            value = Fraction(tok.text)
+            digits = tok.text.partition(".")[2]
+            value = Fraction(_integer(tok), 10 ** len(digits))
         elif tok.kind == "nat":
             self.advance()
+            value = Fraction(_integer(tok))
             if self.peek().kind == "/":
                 self.advance()
                 den = self.expect("nat", "denominator")
-                if int(den.text) == 0:
+                denominator = _integer(den)
+                if denominator == 0:
                     raise ParseError("zero denominator", den.pos)
-                value = Fraction(int(tok.text), int(den.text))
-            else:
-                value = Fraction(int(tok.text))
+                value /= denominator
         else:
             raise ParseError(
                 f"expected a probability, found {tok.text or 'end of input'!r}",
@@ -335,7 +350,7 @@ class _Parser:
 
     def parse_bound(self) -> int:
         self.expect("le", "'<='")
-        return int(self.expect("nat", "step bound").text)
+        return _integer(self.expect("nat", "step bound"))
 
     def parse_path(self) -> PathFormula:
         tok = self.peek()

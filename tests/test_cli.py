@@ -51,6 +51,16 @@ class TestCheck:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+    def test_number_past_the_digit_limit_exits_two(self, capsys, chain_path):
+        nines = "9" * (sys.get_int_max_str_digits() + 700)
+        code, out, err = run(
+            capsys, "check", "--model", chain_path, "--formula", f"<<0 < 1/{nines}>> X goal"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("formula error: number has")
+
     def test_empty_formula_file_name_exits_two(self, capsys, chain_path):
         code, _, err = run(capsys, "check", "--model", chain_path, "--formula-file", "")
         assert code == 2

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,22 @@ class TestValidate:
     def test_oversized_cost_reported(self):
         m = Pots.build(["q"], "q", [("q", "q", 1, 2**32)])
         assert any("cost out of range" in line for line in validate(m))
+
+    @pytest.mark.parametrize("cost", [2.9, True, False, Fraction(2), "2"])
+    def test_non_integer_cost_reported(self, cost):
+        m = Pots(
+            states=("q",),
+            initial="q",
+            prob={("q", "q"): Fraction(1)},
+            labels={},
+            cost={("q", "q"): cost},
+        )
+        assert validate(m) == [f"cost not an integer on edge (q, q): {cost!r}"]
+
+    @pytest.mark.parametrize("cost", [2.9, 2.0, True, False, Fraction(2), "2", None])
+    def test_build_rejects_a_non_integer_cost(self, cost):
+        with pytest.raises(ModelError, match="cost must be an int"):
+            Pots.build(["q"], "q", [("q", "q", 1, cost)])
 
     def test_validate_is_side_effect_free(self):
         m = two_state()
@@ -408,9 +425,26 @@ class TestPrune:
 
 class TestFileFormat:
     def test_round_trip_exact_for_terminating_probabilities(self):
-        m = two_state()
-        again = loads_model(dumps_model(m))
-        assert again == m
+        # Fraction(0.1) terminates after 55 decimal places, and the second
+        # model's edge has 45 digits: both are longer than any fixed cap
+        tenth = Fraction(0.1)
+        long = "0." + "3" * 44 + "5"
+        doc = _document()
+        _edge(0, prob=long)(doc)
+        _edge(1, prob=fraction_to_decimal(1 - Fraction(long)))(doc)
+        models = [
+            two_state(),
+            Pots.build(
+                ["s", "t"],
+                "s",
+                [("s", "t", tenth, 1), ("s", "s", 1 - tenth, 1), ("t", "t", 1, 0)],
+            ),
+            loads_model(json.dumps(doc)),
+        ]
+        for m in models:
+            assert validate(m) == []
+            again = loads_model(dumps_model(m))
+            assert again == m
 
     def test_round_trip_close_for_repeating_probabilities(self):
         m = Pots.build(
@@ -572,3 +606,12 @@ def test_fraction_to_decimal_exact_cases():
     assert fraction_to_decimal(Fraction(1)) == "1"
     assert fraction_to_decimal(Fraction(0)) == "0"
     assert fraction_to_decimal(Fraction(1, 2)) == "0.5"
+
+
+@pytest.mark.parametrize("places", [41, 10_000])
+def test_fraction_to_decimal_writes_every_digit_of_a_long_expansion(places):
+    # 5**10_000 has about 7,000 digits, more than str(int) converts by default
+    for value in (Fraction(1, 2**places), Fraction(3, 5**places)):
+        text = fraction_to_decimal(value)
+        assert len(text) == places + 2
+        assert Fraction(Decimal(text)) == value

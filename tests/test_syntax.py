@@ -132,6 +132,51 @@ class TestParse:
             parse("U")
 
 
+_LIMIT = sys.get_int_max_str_digits()
+_LONG = "9" * (_LIMIT + 1)
+
+
+@pytest.mark.skipif(_LIMIT == 0, reason="no digit limit")
+class TestNumbersPastTheDigitLimit:
+    """A numeral longer than int() converts from text is a positioned
+    ParseError, wherever it stands."""
+
+    @pytest.mark.parametrize(
+        "text, position, digits",
+        [
+            (f"<<{_LONG} < 0.5>> X a", 2, _LIMIT + 1),
+            (f"<<0 < {_LONG}/{_LONG}>> X a", 6, _LIMIT + 1),
+            (f"<<0 < 1/{_LONG}>> X a", 8, _LIMIT + 1),
+            (f"<<0 < 0.{_LONG}>> X a", 6, _LIMIT + 2),
+            (f"<<0 < 0.5>> a U<={_LONG} b", 17, _LIMIT + 1),
+            (f"<<0 < 0.5>> F<={_LONG} b", 15, _LIMIT + 1),
+        ],
+        ids=["grade", "numerator", "denominator", "decimal", "until-bound", "eventually-bound"],
+    )
+    def test_state_formula(self, text, position, digits):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+        assert f"number has {digits} digits" in str(err.value)
+
+    @pytest.mark.parametrize("op", ["U", "R"])
+    def test_path_formula_bound(self, op):
+        with pytest.raises(ParseError) as err:
+            parse_path_formula(f"a {op}<={_LONG} b")
+        assert err.value.position == 5
+        assert f"number has {_LIMIT + 1} digits" in str(err.value)
+
+    def test_numbers_at_the_limit_parse_exactly(self):
+        nines = "9" * _LIMIT
+        phi = parse(f"<<{nines} < 1/{nines}>> a U<={nines} b")
+        assert phi.grade == phi.body.bound == int(nines)
+        assert phi.threshold == Fraction(1, int(nines))
+        decimal = "0" + "9" * (_LIMIT - 1)
+        assert parse(f"<<0 <= 0.{decimal[1:]}>> X a").threshold == Fraction(
+            int(decimal), 10 ** (_LIMIT - 1)
+        )
+
+
 class _Forgetful(dict):
     """A parse memo that never stores: every operand is parsed afresh."""
 
