@@ -3,24 +3,23 @@
 Formulas are processed bottom-up; each obstruction query turns into a
 per-state optimum over removal strategies. Every core path operator is a
 frame, the whole solve: start values that pin every state but the
-undetermined ones a sweep updates, a sweep plan, and a sweep count: one
-for next, k for the step-bounded operators, none for unbounded until and
-release, which sweep to a fixed point. One Jacobi loop runs every frame,
-either with the optimizer as the step (value iteration) or with a fixed
-policy's row sums as the step (the power method inside policy
-iteration). The sweeps run on two value buffers that swap roles after
-each sweep, so no vector is copied per sweep.
+undetermined ones a sweep updates, their undetermined successors, and a
+sweep count: one for next, k for the step-bounded operators, none for
+unbounded until and release, which sweep to a fixed point. One Jacobi
+loop runs every frame, either with the optimizer as the step (value
+iteration) or with a fixed policy's row sums as the step (the power
+method inside policy iteration). The sweeps run on two value buffers
+that swap roles after each sweep, so no vector is copied per sweep.
 
-A sweep steps only the undetermined states whose value can still
-change. The plan, read off the unpruned graph once per frame, gives each
-state off every cycle of undetermined states the last sweep that can
-change it: one more than the latest of its undetermined successors, and
-1 when it has none. After that sweep the state's inputs no longer
-change, so a step would recompute the same float; the next sweep copies
-the value into the other buffer, and later sweeps leave it alone. States
-on a cycle, or upstream of one, are stepped by every sweep, so the cost
-per step stays constant on them. Values, residuals and sweep counts are
-bit for bit those of stepping every undetermined state in every sweep.
+A step reads only its state's successors, so a state none of whose
+undetermined successors was stepped in a sweep would get the same float
+in the next one. After each sweep such a state drops out: its value is
+copied into the other buffer, and later sweeps leave it alone. The
+stepped set only shrinks, so a state off every cycle of undetermined
+states is stepped up to its last sweep that can change it, and states on
+a cycle, or upstream of one, are stepped by every sweep, so the cost per
+step stays constant on them. Values, residuals and sweep counts are bit
+for bit those of stepping every undetermined state in every sweep.
 
 Measure convention: pruned probability mass vanishes, nothing is
 renormalized, and release is never complemented through until.
@@ -32,7 +31,6 @@ are immutable, so concurrent queries against a shared model are safe.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
@@ -110,13 +108,15 @@ class Frame(NamedTuple):
     """One core operator's whole solve, which ``_iterate`` runs. ``start``
     holds every state's value before the first sweep; states outside
     ``undetermined`` are pinned to it. ``sweeps`` is the step count, or None
-    for a fixed point. ``plan`` is ``(order, live)`` from ``_sweep_plan``,
-    or None to step every undetermined state in every sweep."""
+    for a fixed point. ``succ`` maps each undetermined state to its
+    undetermined successors in the unpruned graph, or is None when every
+    undetermined state has one, since then no state ever drops out of a
+    sweep."""
 
     start: dict[str, float]
     undetermined: list[str]
     sweeps: int | None
-    plan: tuple[list[str], list[int]] | None = None
+    succ: dict[str, frozenset[str]] | None = None
 
 
 def _backward_reachable(
@@ -150,8 +150,8 @@ def _frame(
     - release: pinned 1 on ``sat1 & sat2`` and 0 outside ``sat2``;
       undetermined are ``sat2 - sat1``, starting from above.
 
-    Until and release carry the sweep plan of their undetermined states
-    (``_sweep_plan``); next, a single sweep, has none.
+    Until and release carry their undetermined successors; next, a single
+    sweep, needs none.
     """
     start = {q: (1.0 if q in sat2 else 0.0) for q in model.states}
     if op is Next:
@@ -164,50 +164,9 @@ def _frame(
     else:
         raise TypeError(f"not a core path operator: {op!r}")
     undetermined = [q for q in model.states if q in inside]
-    plan = _sweep_plan(model, undetermined, inside)
-    return Frame(start, undetermined, sweeps, plan)
-
-
-def _sweep_plan(
-    model: Pots, undetermined: list[str], inside: frozenset[str]
-) -> tuple[list[str], list[int]] | None:
-    """The frame's sweep plan, from the unpruned graph alone. Each
-    undetermined state off every cycle of undetermined states gets
-    ``last``, the last sweep that can change it: 1 without undetermined
-    successors, else one more than the latest of theirs. A fixed policy
-    only drops edges, so the plan holds for its power method too.
-
-    ``order`` puts the states that never settle first, then the rest by
-    ``last``, latest first, so the states sweep s steps are the prefix
-    ``order[:live[s]]``; ``live`` ends with its final length repeated.
-    None when no state settles."""
-    waiting = {}
-    for q in undetermined:
-        succ = model.row(q).succ
-        if not inside.isdisjoint(succ):
-            waiting[q] = len(inside.intersection(succ))
-    n = len(undetermined)
-    if len(waiting) == n:  # no state settles, or there is none
-        return None
-    if not waiting:  # every state settles after sweep 1: there is nothing to walk
-        return undetermined, [n, n, 0, 0]
-    # Kahn's order settles the states by ascending last sweep, so the
-    # successor that releases a state is its latest
-    settled = [q for q in undetermined if q not in waiting]
-    last = dict.fromkeys(settled, 1)
-    for q in settled:  # grows while it is walked
-        for p in model.pred(q):
-            k = waiting.get(p)
-            if k:
-                waiting[p] = k - 1
-                if k == 1:
-                    last[p] = last[q] + 1
-                    settled.append(p)
-    order = [q for q in undetermined if q not in last] + settled[::-1]
-    ends = [last[q] for q in settled]
-    live = [n] + [n - bisect_left(ends, s) for s in range(1, ends[-1] + 2)]
-    live.append(live[-1])
-    return order, live
+    succ = {q: inside.intersection(model.row(q).succ) for q in undetermined}
+    # a fixed policy only drops edges, so these serve its power method too
+    return Frame(start, undetermined, sweeps, None if all(succ.values()) else succ)
 
 
 # -- the sweep ------------------------------------------------------------------
@@ -233,10 +192,13 @@ def _iterate(
     point takes a residual. Either way at most ``opts.max_iterations``
     sweeps run.
 
-    Each sweep calls the step only for the states the frame's plan still
-    steps. A state past its last sweep would get the same float from the
-    same inputs and move by exactly 0, so values, residuals and sweep
-    counts are those of stepping every undetermined state in every sweep.
+    A sweep calls the step only for the states it still steps: at first
+    every undetermined state. After each sweep, a state none of whose
+    undetermined successors was just stepped would get the same float from
+    the same inputs, so it drops out, and its value is copied into the
+    other buffer. Once a sweep drops nobody, the stepped set stays as it
+    is. Values, residuals and sweep counts are those of stepping every
+    undetermined state in every sweep.
 
     Two value buffers, both copied once from the start, swap roles after
     every sweep: a sweep reads one and writes the other, and the pinned
@@ -248,18 +210,10 @@ def _iterate(
         raise ConvergenceError(
             f"step bound {limit} exceeds the limit of {opts.max_iterations} iterations"
         )
-    # sweep s steps order[:live[s]] and copies order[live[s]:live[s - 1]],
-    # whose last sweep was the one before, so that both buffers hold their
-    # final values; past the end of live, the last prefix stays
-    order, live = frame.plan or (frame.undetermined, ())
-    update, stages = order, len(live)
+    update, succ = frame.undetermined, frame.succ
     x, nxt = dict(frame.start), dict(frame.start)
     s = 0
     for s in range(1, limit + 1):
-        if s < stages:
-            update = order[: live[s]]
-            for q in order[live[s] : live[s - 1]]:
-                nxt[q] = x[q]
         for q in update:
             nxt[q] = step(q, x)
         x, nxt = nxt, x
@@ -270,6 +224,16 @@ def _iterate(
                     break
             else:
                 break  # no value moved by epsilon: the fixed point
+        if succ is not None and s < limit:  # settling
+            stepped, kept = set(update), []
+            for q in update:
+                if stepped.isdisjoint(succ[q]):
+                    nxt[q] = x[q]  # drops out: both buffers hold its value
+                else:
+                    kept.append(q)
+            if len(kept) == len(update):
+                succ = None  # nobody dropped out, so nobody ever will
+            update = kept
     else:
         if fixed:
             raise ConvergenceError(f"no convergence within {limit} iterations")

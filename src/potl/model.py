@@ -376,14 +376,23 @@ def decimal_terminates(value: Fraction) -> bool:
     return _decimal_places(value.denominator) is not None
 
 
-def fraction_to_decimal(value: Fraction, max_digits: int = 17) -> str:
+_DIGITS = 17  # a repeating decimal's places, or significant digits below 5e-18
+
+
+def fraction_to_decimal(value: Fraction) -> str:
     """Render a rational in [0, 1] as a decimal string: exactly, however
     many digits that takes, when the denominator divides a power of ten,
-    else rounded to ``max_digits``."""
+    else rounded to ``_DIGITS`` places; a value that rounds to 1 is "1",
+    and one that rounds to 0 keeps ``_DIGITS`` significant digits."""
     digits = _decimal_places(value.denominator)
     if digits is None:
-        digits = max_digits
+        digits = _DIGITS
         scaled = round(value * 10**digits)
+        if scaled == 10**digits:
+            return "1"
+        if not scaled:  # the first nonzero digit is at place len(den // num)
+            digits += len(str(Decimal(value.denominator // value.numerator))) - 1
+            scaled = round(value * 10**digits)
     else:
         scaled = value.numerator * 10**digits // value.denominator
     # str() refuses ints past the interpreter's digit limit (4,300 by

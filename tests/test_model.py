@@ -463,6 +463,19 @@ class TestFileFormat:
         for e, p in m.prob.items():
             assert abs(again.prob_exact(*e) - p) <= Fraction(1, 10**12)
 
+    @pytest.mark.parametrize("num", [1, 2])
+    def test_round_trip_within_rounding_of_zero_and_one(self, num):
+        # num/(3*10**20) rounds to 0 at 17 places, and its complement to 1
+        tiny = Fraction(num, 3 * 10**20)
+        m = Pots.build(
+            ["q", "r"], "q", [("q", "r", tiny, 0), ("q", "q", 1 - tiny, 0), ("r", "r", 1, 0)]
+        )
+        assert validate(m) == []
+        again = loads_model(dumps_model(m))
+        assert validate(again) == []
+        for e, p in m.prob.items():
+            assert abs(again.prob_exact(*e) - p) <= p / 10**16
+
     def test_documented_format_loads(self):
         text = json.dumps(
             {
