@@ -6,10 +6,11 @@ frame, the whole solve: start values that pin every state but the
 undetermined ones a sweep updates, their undetermined successors, and a
 sweep count: one for next, k for the step-bounded operators, none for
 unbounded until and release, which sweep to a fixed point. One Jacobi
-loop runs every frame, either with the optimizer as the step (value
-iteration) or with a fixed policy's row sums as the step (the power
-method inside policy iteration). The sweeps run on two value buffers
-that swap roles after each sweep, so no vector is copied per sweep.
+loop runs every frame. Its step is the optimizer (value iteration, which
+also keeps each state's argmin removal for a witness) or a fixed policy's
+row sums (the power method inside policy iteration). The sweeps run on
+two value buffers that swap roles after each sweep, so no vector is
+copied per sweep.
 
 A step reads only its state's successors, so a state none of whose
 undetermined successors was stepped in a sweep would get the same float
@@ -423,24 +424,23 @@ def synthesize(
     opts: EngineOptions = DEFAULT_OPTIONS,
     stats: Stats | None = None,
 ) -> tuple[MemorylessStrategy, dict[str, float]]:
-    """Extract a memoryless witness from the argmin removal sets of the
-    minimization, taken at the converged values (unbounded operators) or
-    at the values one step before the horizon (the first decision taken
-    from the full horizon), then report that witness's own value (its
-    fixed-strategy evaluation, which an exact re-run must reproduce)."""
+    """A memoryless witness and its own value. One min-mode value iteration
+    runs over the frame, and its step keeps the argmin removal it picks at
+    each state; the witness is each state's last kept removal (empty at
+    horizon 0, where no step runs). The values are the witness's
+    fixed-strategy evaluation, which an exact re-run must reproduce."""
     frame = _frame(model, type(theta), sat1, sat2, getattr(theta, "bound", None))
-    if frame.sweeps is None:
-        basis = _optimum(model, frame, budget, "min", opts, stats)
-    else:
-        step = _optimal_step(model, frame, budget, "min")
-        basis = _iterate(frame._replace(sweeps=max(frame.sweeps - 1, 0)), step, opts, stats)
-        if frame.sweeps and stats is not None:
-            stats.iterations += 1  # the extraction below is the horizon's last sweep
-    removal = {}
-    for q in frame.undetermined:
-        removed, _ = best_removal(model, q, budget, basis)
+    removal: dict[str, frozenset] = {}
+
+    def step(q: str, x: Mapping[str, float]) -> float:
+        removed, value = best_removal(model, q, budget, x)
         if removed:
             removal[q] = frozenset(removed)
+        else:
+            removal.pop(q, None)
+        return value
+
+    _iterate(frame, step, opts, stats)
     strategy = MemorylessStrategy(grade=budget, removal=removal)
     values = prob_fixed(model, strategy, theta, sat1, sat2, opts, stats)
     return strategy, values

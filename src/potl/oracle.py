@@ -15,11 +15,11 @@ the bounded ones keep numerators over a power of that denominator. A
 ``Fraction`` is built only for a value handed back, so no step pays for a
 gcd, and the values are the same canonical rationals.
 
-An optimum walks the removal options of its frame's undetermined states
-only; the other states keep the empty removal. No fixed-strategy value
-reads their rows, and the empty removal comes first in every state's
-options, so the values and the first-attaining witnesses are those of
-the full enumeration.
+A fixed-strategy value reads the rows of its frame's undetermined states
+only, so only those rows are built, and an optimum walks only those
+states' removal options. The other states keep the empty removal, which
+comes first in every state's options, so the values and the
+first-attaining witnesses are those of the full enumeration.
 """
 
 from __future__ import annotations
@@ -150,11 +150,9 @@ def _check_limit(model: Pots, budget: int, limit: int) -> None:
 
 
 def _strategy(
-    model: Pots, budget: int, assignment: Sequence[tuple[Edge, ...]]
+    states: Iterable[str], budget: int, assignment: Sequence[tuple[Edge, ...]]
 ) -> MemorylessStrategy:
-    removal = {
-        q: frozenset(removed) for q, removed in zip(model.states, assignment) if removed
-    }
+    removal = {q: frozenset(r) for q, r in zip(states, assignment) if r}
     return MemorylessStrategy(grade=budget, removal=removal)
 
 
@@ -167,7 +165,7 @@ def enumerate_strategies(
     _check_limit(model, budget, limit)
     per_state = [removal_options(model, q, budget) for q in model.states]
     for assignment in itertools.product(*per_state):
-        yield _strategy(model, budget, assignment)
+        yield _strategy(model.states, budget, assignment)
 
 
 # -- exact fixed-strategy probabilities ----------------------------------------
@@ -194,16 +192,6 @@ def _survivors(model: Pots, q: str, removed: Collection[Edge], den: int) -> Surv
         for e, r in zip(row.edges, row.succ)
         if e not in removed
     )
-
-
-def _strategy_rows(
-    model: Pots, strategy: MemorylessStrategy, den: int
-) -> dict[str, Survivors]:
-    removed = strategy.all_removed()
-    for e in removed:
-        if e not in model.prob:
-            raise ModelError(f"cannot remove non-existent edge {e!r}")
-    return {q: _survivors(model, q, removed, den) for q in model.states}
 
 
 def _solve(a: list[list[int]]) -> list[Fraction]:
@@ -423,11 +411,16 @@ def exact_prob(
     ``sat2``. Release adds two disjoint events: hitting a state satisfying
     both operands while staying in the right operand, or staying in the
     right operand (and off the left one) forever, whose mass concentrates
-    on the no-leak core of that region. Raises :class:`ModelError` when
-    the strategy removes an edge the model does not have."""
-    den = _denominator(model, model.states)
-    rows = _strategy_rows(model, strategy, den)
+    on the no-leak core of that region. Only the rows of the frame's
+    undetermined states are built. Raises :class:`ModelError` when the
+    strategy removes an edge the model does not have."""
+    removed = strategy.all_removed()
+    for e in removed:
+        if e not in model.prob:
+            raise ModelError(f"cannot remove non-existent edge {e!r}")
     frame = _frame(model.states, theta, sat1, sat2, max_iterations)
+    den = _denominator(model, frame.undetermined)
+    rows = {q: _survivors(model, q, removed, den) for q in frame.undetermined}
     return _fixed_values(model.states, rows, den, frame, theta, sat1, sat2)
 
 
@@ -509,36 +502,30 @@ def oracle_optimum(
     strategy of the grade, with the first strategy attaining each state's
     optimum kept as witness. ``limit`` bounds the whole strategy product.
 
-    Only the frame's undetermined states have their removal options
-    walked; every other state keeps its first option, the empty removal.
-    :func:`_fixed_values` reads no other state's row, so strategies that
-    differ only there have equal values. The walk keeps
-    :func:`enumerate_strategies` order, each strategy a choice of one
-    surviving row per state, so the first strategy to reach a state's
-    optimum in the full product removes nothing outside the frame and is
-    the witness here too."""
+    Rows are built, and removal options walked, for the frame's
+    undetermined states only, in :func:`enumerate_strategies` order; every
+    other state removes nothing. :func:`_fixed_values` reads no other row,
+    so strategies that differ only off the frame have equal values, and the
+    first to reach a state's optimum in the full product is the witness
+    here too."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     states = model.states
     frame = _frame(states, theta, sat1, sat2, max_iterations)
     _check_limit(model, budget, limit)
-    per_state = [
-        removal_options(model, q, budget) if q in frame.undetermined else [()]
-        for q in states
-    ]
-    den = _denominator(model, frame.undetermined)
+    walk = [q for q in states if q in frame.undetermined]
+    per_state = [removal_options(model, q, budget) for q in walk]
+    den = _denominator(model, walk)
     per_state_rows = [
         [_survivors(model, q, removed, den) for removed in options]
-        if q in frame.undetermined
-        else [()]  # never read
-        for q, options in zip(states, per_state)
+        for q, options in zip(walk, per_state)
     ]
     best: dict[str, Fraction] = {}
     witness: dict[str, MemorylessStrategy] = {}
     for assignment, chosen in zip(
         itertools.product(*per_state), itertools.product(*per_state_rows)
     ):
-        rows = dict(zip(states, chosen))
+        rows = dict(zip(walk, chosen))
         values = _fixed_values(states, rows, den, frame, theta, sat1, sat2)
         strategy = None
         # a state off the frame keeps one value under every strategy
@@ -547,7 +534,7 @@ def oracle_optimum(
             if q not in best or (v < best[q] if mode == "min" else v > best[q]):
                 best[q] = v
                 if strategy is None:
-                    strategy = _strategy(model, budget, assignment)
+                    strategy = _strategy(walk, budget, assignment)
                 witness[q] = strategy
     return OptimumResult(values=best, witnesses=witness)
 

@@ -370,6 +370,15 @@ class TestSynthesize:
         assert code == 0
         assert replay["probabilities"] == payload["probabilities"]
 
+    def test_horizon_zero_witness_is_empty(self, capsys, chain_path):
+        code, payload, _ = run_json(
+            capsys, "synthesize", "--model", chain_path,
+            "--path", "F<=0 goal", "--grade", "1",
+        )
+        assert code == 0
+        assert payload["strategy"]["removal"] == {}
+        assert payload["probabilities"] == {"goal": "1", "q": "0"}
+
     def test_unwritable_output_exits_two(self, capsys, chain_path, tmp_path):
         target = tmp_path / "missing" / "s.json"
         code, out, err = run(

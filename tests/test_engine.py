@@ -452,22 +452,24 @@ def chain_of(n):
     return Pots.build(states + ["goal", "sink"], "s0", edges, {"goal": ["b"]})
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """The states the engine's optimizer is called at, in call order."""
+    calls = []
+    original = engine.best_removal
+
+    def counting(model, q, budget, value):
+        calls.append(q)
+        return original(model, q, budget, value)
+
+    monkeypatch.setattr(engine, "best_removal", counting)
+    return calls
+
+
 class TestSweepContract:
     """A min-mode sweep calls the optimizer once for each undetermined state
     it can still change, up to that state's last sweep, and no sweep writes
     the frame's start values."""
-
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        calls = []
-        original = engine.best_removal
-
-        def counting(model, q, budget, value):
-            calls.append(q)
-            return original(model, q, budget, value)
-
-        monkeypatch.setattr(engine, "best_removal", counting)
-        return calls
 
     @pytest.mark.parametrize("op", [BoundedUntil, BoundedRelease])
     @pytest.mark.parametrize("bound", [1, 2, 7])
@@ -618,6 +620,77 @@ class TestFixedAndSynthesis:
         exact = exact_prob(attack_graph, strategy, theta, sat1, sat2)
         satisfied = sat(attack_graph, phi)
         assert ("S0" in satisfied) == (exact["S0"] < Fraction(1, 5))
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_bounded_witness_is_the_argmin_at_the_last_sweeps_inputs(self, k):
+        """The witness of a k-step operator is the argmin at the values of
+        sweep k - 1: the decision taken with the full horizon ahead."""
+        for model in corpus(2024, 40):
+            sat1, sat2 = label_sets(model)
+            for theta in (
+                Next(Atom("b")),
+                BoundedUntil(Atom("a"), Atom("b"), k),
+                BoundedRelease(Atom("a"), Atom("b"), k),
+            ):
+                bound = getattr(theta, "bound", 1)
+                frame = engine._frame(model, type(theta), sat1, sat2, bound)
+                for grade in (0, 1, 2, 4):
+                    step = engine._optimal_step(model, frame, grade, "min")
+                    x = engine._iterate(
+                        frame._replace(sweeps=bound - 1), step, EngineOptions(), None
+                    )
+                    want = {}
+                    for q in frame.undetermined:
+                        removed, _ = engine.best_removal(model, q, grade, x)
+                        if removed:
+                            want[q] = frozenset(removed)
+                    strategy, _ = synthesize(model, theta, sat1, sat2, grade)
+                    assert strategy.removal == want
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            Next(Atom("b")),
+            BoundedUntil(Atom("a"), Atom("b"), 4),
+            Until(Atom("a"), Atom("b")),
+            Release(Atom("a"), Atom("b")),
+        ],
+        ids=("X", "U<=4", "U", "R"),
+    )
+    def test_as_many_optimizer_calls_as_the_min_solve(self, counted, theta):
+        for model in [*corpus(2024, 6), scaling_model(200)]:
+            sat1, sat2 = label_sets(model)
+            for grade in (1, 2):
+                counted.clear()
+                path_values(model, theta, grade, "min")
+                solve = len(counted)
+                counted.clear()
+                synthesize(model, theta, sat1, sat2, grade)
+                assert len(counted) == solve
+
+    def test_horizon_zero_witness_is_empty(self, chain):
+        theta = BoundedUntil(TRUE, Atom("goal"), 0)
+        sat1, sat2 = frozenset(chain.states), frozenset({"goal"})
+        stats = Stats()
+        strategy, values = synthesize(chain, theta, sat1, sat2, 1, stats=stats)
+        assert strategy.removal == {}
+        assert values == {"q": 0.0, "goal": 1.0}
+        assert stats.iterations == 0
+
+    @pytest.mark.parametrize(
+        "theta", [Until(Atom("a"), Atom("b")), Release(Atom("a"), Atom("b"))], ids=("U", "R")
+    )
+    def test_synthesis_solves_by_value_iteration_under_either_solver(self, theta):
+        for model in [*corpus(2024, 10), scaling_model(200)]:
+            sat1, sat2 = label_sets(model)
+            for grade in (0, 1, 2, 4):
+                answers = []
+                for solver in ("vi", "pi"):
+                    stats = Stats()
+                    opts = EngineOptions(solver=solver)
+                    strategy, values = synthesize(model, theta, sat1, sat2, grade, opts, stats)
+                    answers.append((strategy, values, stats.iterations))
+                assert answers[0] == answers[1]
 
 
 

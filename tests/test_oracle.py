@@ -530,6 +530,36 @@ class TestFrameWalk:
                     assert set(strategy.removal) <= set(FRAMES[theta])
 
 
+class TestRowsOnlyForTheFrame:
+    """Survivor rows are built for the frame's undetermined states only."""
+
+    @pytest.fixture
+    def rows_built(self, monkeypatch):
+        built = []
+        survivors = oracle._survivors
+
+        def recording(model, q, removed, den):
+            built.append(q)
+            return survivors(model, q, removed, den)
+
+        monkeypatch.setattr(oracle, "_survivors", recording)
+        return built
+
+    @pytest.mark.parametrize("theta", VIEW_THETAS, ids=("X", "U<=3", "U", "R<=3", "R"))
+    def test_rows_lie_inside_the_frame(self, theta, rows_built):
+        for model in corpus(2024, 40):
+            sat1, sat2 = label_sets(model)
+            frame = oracle._frame(model.states, theta, sat1, sat2, None)
+            for grade in (0, 2):
+                rows_built.clear()
+                result = oracle_optimum(model, theta, sat1, sat2, grade, "min")
+                assert set(rows_built) <= set(frame.undetermined)
+                for strategy in [empty_strategy(grade), *result.witnesses.values()]:
+                    rows_built.clear()
+                    exact_prob(model, strategy, theta, sat1, sat2)
+                    assert set(rows_built) <= set(frame.undetermined)
+
+
 def rescanned_reachable(rows, targets, through):
     """``_backward_reachable`` by its definition: rescan ``through`` until
     no state joins."""
