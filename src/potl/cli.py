@@ -35,7 +35,6 @@ from .obstruction import (
     validate_strategy,
 )
 from .syntax import (
-    Next,
     ObstructQuery,
     ParseError,
     PathFormula,
@@ -302,24 +301,21 @@ def _cmd_oracle(args) -> int:
     theta = _read_path(args)
     cap = args.max_iterations
     sat1, sat2 = oracle.operand_sets(model, theta, args.limit, cap)
-    mode, grade, witnesses = args.mode, args.grade, None
+    mode, grade, witnesses = args.mode, args.grade, {}
     if args.strategy is not None:
         strategy = _load_strategy_for(model, args.strategy)
         mode, grade = "fixed", strategy.grade
         values = oracle.exact_prob(model, strategy, theta, sat1, sat2, cap)
-    elif isinstance(theta, (Next, Until, Release)):
-        result = oracle.oracle_optimum(model, theta, sat1, sat2, grade, mode, args.limit, cap)
-        values, witnesses = result.values, result.witnesses
     else:
-        # bounded operators: exact optimum with per-step re-choice
-        values = oracle.step_optimum(model, theta, sat1, sat2, grade, mode, cap)
+        result = oracle.path_optimum(model, theta, sat1, sat2, grade, mode, args.limit, cap)
+        values, witnesses = result.values, result.witnesses
     payload = {
         "formula": print_path(theta),
         "mode": mode,
         "grade": grade,
         "values": {q: _rational_text(v) for q, v in sorted(values.items())},
     }
-    if witnesses is not None:
+    if witnesses:
         payload["witnesses"] = {
             q: json.loads(strategy_to_json(w))["removal"] for q, w in sorted(witnesses.items())
         }
@@ -343,9 +339,11 @@ def _cmd_conformance(args) -> int:
     sat1, sat2 = engine.operand_sets(model, theta, opts, stats)
     algo_zero = engine.qual_zero_search(model, sat1, sat2, args.grade, release)
     algo_one = engine.qual_one_search(model, sat1, sat2, args.grade, algo_zero, release)
-    oracle_zero, oracle_one = oracle.qualitative_sets(
+    values = oracle.path_optimum(
         model, theta, sat1, sat2, args.grade, "min", args.limit, args.max_iterations
-    )
+    ).values
+    oracle_zero = frozenset(q for q, v in values.items() if v == 0)
+    oracle_one = frozenset(q for q, v in values.items() if v == 1)
     payload = {
         "formula": print_path(theta),
         "grade": args.grade,

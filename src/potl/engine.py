@@ -110,9 +110,7 @@ class Frame(NamedTuple):
     holds every state's value before the first sweep; states outside
     ``undetermined`` are pinned to it. ``sweeps`` is the step count, or None
     for a fixed point. ``succ`` maps each undetermined state to its
-    undetermined successors in the unpruned graph, or is None when every
-    undetermined state has one, since then no state ever drops out of a
-    sweep."""
+    undetermined successors in the unpruned graph (None for next)."""
 
     start: dict[str, float]
     undetermined: list[str]
@@ -167,7 +165,7 @@ def _frame(
     undetermined = [q for q in model.states if q in inside]
     succ = {q: inside.intersection(model.row(q).succ) for q in undetermined}
     # a fixed policy only drops edges, so these serve its power method too
-    return Frame(start, undetermined, sweeps, None if all(succ.values()) else succ)
+    return Frame(start, undetermined, sweeps, succ)
 
 
 # -- the sweep ------------------------------------------------------------------
@@ -255,7 +253,15 @@ def _policy_step(model: Pots, policy: Mapping[str, Removal]) -> Step:
             for e, r, (pn, pd) in zip(row.edges, row.succ, row.ratios)
             if e not in gone
         ]
-    return lambda q, x: sum(p * x[r] for r, p in rows[q])
+
+    def step(q: str, x: Mapping[str, float]) -> float:
+        # left to right: sum() compensates float sums from Python 3.12 on
+        total = 0.0
+        for r, p in rows[q]:
+            total += p * x[r]
+        return total
+
+    return step
 
 
 _POLICY_ROUNDS = 10_000
@@ -291,6 +297,8 @@ def _optimum(
     opts: EngineOptions = DEFAULT_OPTIONS,
     stats: Stats | None = None,
 ) -> dict[str, float]:
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     # the maximizer removes nothing, so its policy iteration would be the
     # power method on the unpruned chain: the same sweeps as value iteration
     if frame.sweeps is None and opts.solver == "pi" and mode == "min":

@@ -5,7 +5,8 @@ model's exact rationals, removal strategies are enumerated exhaustively,
 fixed-strategy probabilities are computed by finite unrolling or Gaussian
 elimination, and optima are pointwise extrema over the enumeration. Meant
 for desk-scale models; the enumeration refuses to run past a limit, which
-counts the full strategy product.
+counts the full strategy product. Next and the step-bounded operators
+optimize state by state; :func:`path_optimum` picks each operator's optimum.
 
 The arithmetic is on integers. Each entry point scales the probabilities
 on the rows it reads to integer numerators over one common denominator,
@@ -500,18 +501,30 @@ def oracle_optimum(
 ) -> OptimumResult:
     """Pointwise min or max of :func:`exact_prob` over every memoryless
     strategy of the grade, with the first strategy attaining each state's
-    optimum kept as witness. ``limit`` bounds the whole strategy product.
+    optimum kept as witness.
 
-    Rows are built, and removal options walked, for the frame's
-    undetermined states only, in :func:`enumerate_strategies` order; every
-    other state removes nothing. :func:`_fixed_values` reads no other row,
-    so strategies that differ only off the frame have equal values, and the
-    first to reach a state's optimum in the full product is the witness
-    here too."""
+    A next value reads its state's own removal only, so each state takes
+    its first optimal option, removed alone: the first strategy of the
+    product to attain it. Until and release walk, in
+    :func:`enumerate_strategies` order, the options of the frame's
+    undetermined states only, and ``limit`` bounds the whole product. The
+    other states remove nothing; :func:`_fixed_values` reads no other row,
+    so the first strategy to reach a state's optimum is that of the full
+    product."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     states = model.states
     frame = _frame(states, theta, sat1, sat2, max_iterations)
+    best: dict[str, Fraction] = {}
+    witness: dict[str, MemorylessStrategy] = {}
+    if isinstance(theta, Next):
+        den = _denominator(model, states)
+        for q in states:
+            options = removal_options(model, q, budget)
+            sums = [sum([p for r, p in _survivors(model, q, o, den) if r in sat2]) for o in options]
+            i = sums.index((min if mode == "min" else max)(sums))
+            best[q], witness[q] = Fraction(sums[i], den), _strategy([q], budget, [options[i]])
+        return OptimumResult(values=best, witnesses=witness)
     _check_limit(model, budget, limit)
     walk = [q for q in states if q in frame.undetermined]
     per_state = [removal_options(model, q, budget) for q in walk]
@@ -520,8 +533,6 @@ def oracle_optimum(
         [_survivors(model, q, removed, den) for removed in options]
         for q, options in zip(walk, per_state)
     ]
-    best: dict[str, Fraction] = {}
-    witness: dict[str, MemorylessStrategy] = {}
     for assignment, chosen in zip(
         itertools.product(*per_state), itertools.product(*per_state_rows)
     ):
@@ -630,21 +641,23 @@ def operand_sets(
     raise TypeError(f"not a core path formula: {theta!r}")
 
 
-def _optimum_values(
+def path_optimum(
     model: Pots,
     theta: PathFormula,
     sat1: frozenset[str],
     sat2: frozenset[str],
     budget: int,
     mode: str,
-    limit: int,
-    max_iterations: int | None,
-) -> dict[str, Fraction]:
-    """The optimum a query is decided against: the memoryless optimum for
-    until and release, the step-wise optimum otherwise."""
-    if isinstance(theta, (Until, Release)):
-        return dict(oracle_optimum(model, theta, sat1, sat2, budget, mode, limit).values)
-    return step_optimum(model, theta, sat1, sat2, budget, mode, max_iterations)
+    limit: int = DEFAULT_LIMIT,
+    max_iterations: int | None = None,
+) -> OptimumResult:
+    """The optimum that answers a core path formula: the memoryless one,
+    with its witnesses, for next, until and release, and the step-wise one
+    for the step-bounded operators, which has no memoryless witness."""
+    if isinstance(theta, (BoundedUntil, BoundedRelease)):
+        values = step_optimum(model, theta, sat1, sat2, budget, mode, max_iterations)
+        return OptimumResult(values=values, witnesses={})
+    return oracle_optimum(model, theta, sat1, sat2, budget, mode, limit, max_iterations)
 
 
 def oracle_query_values(
@@ -652,26 +665,9 @@ def oracle_query_values(
     phi: ObstructQuery,
     limit: int = DEFAULT_LIMIT,
     max_iterations: int | None = None,
-) -> dict[str, Fraction]:
+) -> Mapping[str, Fraction]:
     """The per-state optimum the query's comparison is decided against."""
     sat1, sat2 = operand_sets(model, phi.body, limit, max_iterations)
-    return _optimum_values(
+    return path_optimum(
         model, phi.body, sat1, sat2, phi.grade, phi.mode, limit, max_iterations
-    )
-
-
-def qualitative_sets(
-    model: Pots,
-    theta: PathFormula,
-    sat1: frozenset[str],
-    sat2: frozenset[str],
-    budget: int,
-    mode: str,
-    limit: int = DEFAULT_LIMIT,
-    max_iterations: int | None = None,
-) -> tuple[frozenset[str], frozenset[str]]:
-    """Exact zero and one sets of the optimum, for conformance reports."""
-    values = _optimum_values(model, theta, sat1, sat2, budget, mode, limit, max_iterations)
-    zero = frozenset(q for q, v in values.items() if v == 0)
-    one = frozenset(q for q, v in values.items() if v == 1)
-    return zero, one
+    ).values

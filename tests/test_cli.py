@@ -9,7 +9,8 @@ import pytest
 import potl.oracle
 from potl.cli import build_parser, main
 from potl.engine import DEFAULT_OPTIONS
-from potl.model import load_model
+from potl.generate import scaling_model
+from potl.model import dumps_model, load_model
 from potl.obstruction import load_strategy, validate_strategy
 from potl.syntax import parse_path_formula
 
@@ -343,6 +344,16 @@ class TestProb:
         assert out == ""
         assert "unknown state ''" in err
 
+    def test_max_mode_sums_rows_left_to_right(self, capsys, attack_graph_path):
+        # the digits of a left-to-right float sum; sum() compensates from
+        # Python 3.12 on and gives 0.3256990270558594
+        code, payload, _ = run_json(
+            capsys, "prob", "--model", attack_graph_path,
+            "--path", "true U<=4 r3", "--mode", "max",
+        )
+        assert code == 0
+        assert payload["probabilities"]["S0"] == "0.32569902705585935"
+
     @pytest.mark.parametrize("command", ["prob", "oracle"])
     def test_empty_strategy_rejected(self, capsys, chain_path, command):
         code, out, err = run(
@@ -491,6 +502,22 @@ class TestOracle:
         assert code == 0
         assert payload["values"]["q"] == "0/1"
         assert payload["witnesses"]["q"] == {"q": [["q", "goal"]]}
+
+    def test_next_needs_no_enumeration(self, capsys, tmp_path):
+        # 241,864,704 strategies at grade 2, past the default limit
+        path = tmp_path / "scale.json"
+        path.write_text(dumps_model(scaling_model(40)))
+        code, payload, _ = run_json(
+            capsys, "oracle", "--model", str(path), "--path", "X b", "--grade", "2"
+        )
+        assert code == 0
+        model = load_model(str(path))
+        theta = parse_path_formula("X b")
+        sat1, sat2 = potl.oracle.operand_sets(model, theta)
+        want = potl.oracle.step_optimum(model, theta, sat1, sat2, 2, "min")
+        assert payload["values"] == {
+            q: f"{v.numerator}/{v.denominator}" for q, v in sorted(want.items())
+        }
 
     def test_fixed_strategy_evaluation(self, capsys, chain_path, tmp_path):
         s = tmp_path / "s.json"
@@ -683,13 +710,13 @@ class TestOracleCalls:
         self, capsys, monkeypatch, attack_graph_path
     ):
         calls = []
-        original = potl.oracle._optimum_values
+        original = potl.oracle.path_optimum
 
         def counting(*args, **kwargs):
             calls.append(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(potl.oracle, "_optimum_values", counting)
+        monkeypatch.setattr(potl.oracle, "path_optimum", counting)
         code, payload, _ = run_json(
             capsys, "oracle", "--model", attack_graph_path, "--formula", "<<5 < 0.2>> F r3"
         )

@@ -367,6 +367,17 @@ class TestSolvers:
                         assert a[q] == pytest.approx(b[q], abs=1e-7)
 
 
+class TestModes:
+    @pytest.mark.parametrize("mode", ["Min", "bogus"])
+    def test_unknown_mode_is_rejected(self, chain, mode):
+        with pytest.raises(ValueError) as by_path:
+            path_values(chain, Until(TRUE, Atom("goal")), 1, mode)
+        with pytest.raises(ValueError) as by_operator:
+            prob_next(chain, frozenset({"goal"}), 1, mode)
+        message = f"mode must be 'min' or 'max', got {mode!r}"
+        assert str(by_path.value) == str(by_operator.value) == message
+
+
 class TestInvariantProperties:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -557,7 +568,8 @@ class TestSweepPlanIsExact:
             for m in models
             for op in (BoundedUntil, Until, BoundedRelease, Release)
         ]
-        assert sum(f.succ is not None for f in frames) > 20
+        # frames where some state can drop out of a sweep
+        assert sum(not all(f.succ.values()) for f in frames) > 20
         with_plan = [planned_answers(m, solver) for m in models]
         frame = engine._frame
         monkeypatch.setattr(
@@ -723,5 +735,22 @@ class TestKnownWrongVerdicts:
     def test_verdict_matches_the_oracle(self, model, formula, chain_path):
         if model == "chain.json":
             model = load_model(chain_path)
+        phi = parse(formula)
+        assert check(model, phi).sat == oracle_sat(model, phi)
+
+
+class TestFlushedReleaseVerdicts:
+    """Release verdicts at threshold 0 on ``corpus(2024, 200)`` that agree
+    with the oracle only because the clamp flushes the engine's value at a
+    state to 0: 7.4e-19 at S2 of model 16, 7.3e-13 at S1 and 5.7e-14 at S2
+    of model 184. Item 1 of ROADMAP deletes the clamp; its zero set for
+    release must keep these verdicts."""
+
+    @pytest.mark.parametrize(
+        "index, formula",
+        [(16, "<<1 <= 0>> G a"), (184, "<<1 <= 0>> G a"), (184, "<<2 <= 0>> G a")],
+    )
+    def test_verdict_matches_the_oracle(self, index, formula):
+        model = corpus(2024, 200)[index]
         phi = parse(formula)
         assert check(model, phi).sat == oracle_sat(model, phi)

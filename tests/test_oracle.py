@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potl import oracle
-from potl.generate import corpus, random_pots
-from potl.model import ModelError, Pots, edges_of, prune
+from potl.generate import corpus, random_pots, scaling_model
+from potl.model import ModelError, Pots, dumps_model, edges_of, loads_model, prune
 from potl.obstruction import MemorylessStrategy, empty_strategy
 from potl.oracle import (
     EnumerationLimit,
@@ -528,6 +528,41 @@ class TestFrameWalk:
                 assert dict(result.witnesses) == witness
                 for strategy in result.witnesses.values():
                     assert set(strategy.removal) <= set(FRAMES[theta])
+
+
+class TestNextStateByState:
+    """Next is optimized state by state, with no strategy product and no
+    limit; until and release check the limit before listing any option."""
+
+    def test_next_walks_no_product(self, monkeypatch):
+        model = loads_model(dumps_model(scaling_model(40)))
+        assert count_strategies(model, 2) > oracle.DEFAULT_LIMIT
+        calls = []
+        evaluate = oracle._fixed_values
+        monkeypatch.setattr(
+            oracle, "_fixed_values", lambda *args: calls.append(1) or evaluate(*args)
+        )
+        sat1, sat2 = label_sets(model)
+        theta = Next(Atom("b"))
+        for mode in ("min", "max"):
+            result = oracle_optimum(model, theta, sat1, sat2, 2, mode)
+            assert dict(result.values) == step_optimum(model, theta, sat1, sat2, 2, mode)
+            for q, strategy in result.witnesses.items():
+                assert set(strategy.removal) <= {q}
+        assert calls == []
+
+    def test_limit_is_checked_before_options_are_listed(self):
+        # h's 20 free edges lead to states that reach goal: h is in the
+        # frame with 2**20 - 1 removal options
+        targets = [f"t{i}" for i in range(20)]
+        edges = [("h", t, Fraction(1, 20), 0) for t in targets]
+        edges += [(t, "goal", 1, 1) for t in targets] + [("goal", "goal", 1, 1)]
+        model = Pots.build(["h", *targets, "goal"], "h", edges, labels={"goal": ["goal"]})
+        sat1, sat2 = frozenset(model.states), frozenset({"goal"})
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimit):
+            oracle_optimum(model, Until(TRUE, Atom("goal")), sat1, sat2, 0, "min")
+        assert time.perf_counter() - start < 0.1
 
 
 class TestRowsOnlyForTheFrame:
