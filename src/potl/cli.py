@@ -334,9 +334,7 @@ def _cmd_conformance(args) -> int:
             EXIT_USAGE,
         )
     release = isinstance(theta, Release)
-    stats = engine.Stats()
-    opts = EngineOptions(max_iterations=args.max_iterations)
-    sat1, sat2 = engine.operand_sets(model, theta, opts, stats)
+    sat1, sat2 = oracle.operand_sets(model, theta, args.limit, args.max_iterations)
     algo_zero = engine.qual_zero_search(model, sat1, sat2, args.grade, release)
     algo_one = engine.qual_one_search(model, sat1, sat2, args.grade, algo_zero, release)
     values = oracle.path_optimum(

@@ -23,7 +23,10 @@ step stays constant on them. Values, residuals and sweep counts are bit
 for bit those of stepping every undetermined state in every sweep.
 
 Measure convention: pruned probability mass vanishes, nothing is
-renormalized, and release is never complemented through until.
+renormalized, and release is never complemented through until. Values are
+reported as computed, capped at 1 because a float row sum can round past
+it (0.33 + 0.56 + 0.11 sums to 1.0000000000000002 from the left);
+unbounded release alone flushes values below ``NEG_CLAMP`` to 0.
 
 Every entry point is a pure function of (model, formula, options); models
 are immutable, so concurrent queries against a shared model are safe.
@@ -86,14 +89,6 @@ class EngineOptions:
 
 
 DEFAULT_OPTIONS = EngineOptions()
-
-
-def _clamp(x: float) -> float:
-    if abs(x) < NEG_CLAMP:
-        return 0.0
-    if x > 1.0:
-        return 1.0 if x - 1.0 < NEG_CLAMP else x
-    return x
 
 
 @dataclass
@@ -306,9 +301,8 @@ def _optimum(
     else:
         step = _optimal_step(model, frame, budget, mode)
         x = _iterate(frame, step, opts, stats)
-    # pinned entries are exactly 0.0 or 1.0, which the clamp keeps
-    for q in frame.undetermined:
-        x[q] = _clamp(x[q])
+    for q in frame.undetermined:  # a float row sum can round past 1
+        x[q] = min(x[q], 1.0)
     return x
 
 
@@ -377,8 +371,11 @@ def prob_release(
     opts: EngineOptions = DEFAULT_OPTIONS,
     stats: Stats | None = None,
 ) -> dict[str, float]:
-    """Greatest fixed point of the release step, from above."""
-    return _optimum(model, _frame(model, Release, sat1, sat2), budget, mode, opts, stats)
+    """Greatest fixed point of the release step, from above. Its sweeps
+    near a zero without reaching it, so values below ``NEG_CLAMP`` are
+    flushed to 0; the flush stays until release has an exact zero set."""
+    x = _optimum(model, _frame(model, Release, sat1, sat2), budget, mode, opts, stats)
+    return {q: 0.0 if v < NEG_CLAMP else v for q, v in x.items()}
 
 
 def _dispatch_path(

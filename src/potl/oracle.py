@@ -5,8 +5,10 @@ model's exact rationals, removal strategies are enumerated exhaustively,
 fixed-strategy probabilities are computed by finite unrolling or Gaussian
 elimination, and optima are pointwise extrema over the enumeration. Meant
 for desk-scale models; the enumeration refuses to run past a limit, which
-counts the full strategy product. Next and the step-bounded operators
-optimize state by state; :func:`path_optimum` picks each operator's optimum.
+counts what would be listed: the full strategy product for until and
+release, and one state's removal options for next and the step-bounded
+operators, which optimize state by state. :func:`path_optimum` picks each
+operator's optimum.
 
 The arithmetic is on integers. Each entry point scales the probabilities
 on the rows it reads to integer numerators over one common denominator,
@@ -68,12 +70,11 @@ class StepLimit(RuntimeError):
 
 
 class EnumerationLimit(RuntimeError):
-    """The strategy product space exceeds the configured limit."""
+    """A list the oracle would enumerate exceeds the configured limit: the
+    strategy product, or one state's removal options."""
 
-    def __init__(self, count: int, limit: int):
-        super().__init__(
-            f"{count} strategies exceed the enumeration limit of {limit}"
-        )
+    def __init__(self, count: int, limit: int, what: str = "strategies"):
+        super().__init__(f"{count} {what} exceed the enumeration limit of {limit}")
         self.count = count
         self.limit = limit
 
@@ -140,6 +141,20 @@ def count_strategies(model: Pots, budget: int) -> int:
     """The number of memoryless strategies of the grade: the product of
     every state's option count."""
     return math.prod(_option_count(model.row(q).costs, budget) for q in model.states)
+
+
+def _limited_options(
+    model: Pots, q: str, budget: int, limit: int
+) -> list[tuple[Edge, ...]]:
+    """``removal_options(model, q, budget)``, refused with
+    :class:`EnumerationLimit` before listing when there are more than
+    ``limit``. Only a row with more than ``limit`` subsets is counted."""
+    costs = model.row(q).costs
+    if (1 << len(costs)) - 1 > limit:
+        count = _option_count(costs, budget)
+        if count > limit:
+            raise EnumerationLimit(count, limit, f"removal options at {q}")
+    return removal_options(model, q, budget)
 
 
 def _check_limit(model: Pots, budget: int, limit: int) -> None:
@@ -505,12 +520,12 @@ def oracle_optimum(
 
     A next value reads its state's own removal only, so each state takes
     its first optimal option, removed alone: the first strategy of the
-    product to attain it. Until and release walk, in
-    :func:`enumerate_strategies` order, the options of the frame's
-    undetermined states only, and ``limit`` bounds the whole product. The
-    other states remove nothing; :func:`_fixed_values` reads no other row,
-    so the first strategy to reach a state's optimum is that of the full
-    product."""
+    product to attain it; ``limit`` bounds each state's options. Until
+    and release walk, in :func:`enumerate_strategies` order, the options
+    of the frame's undetermined states only, and ``limit`` bounds the
+    whole product. The other states remove nothing; :func:`_fixed_values`
+    reads no other row, so the first strategy to reach a state's optimum
+    is that of the full product."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     states = model.states
@@ -520,7 +535,7 @@ def oracle_optimum(
     if isinstance(theta, Next):
         den = _denominator(model, states)
         for q in states:
-            options = removal_options(model, q, budget)
+            options = _limited_options(model, q, budget, limit)
             sums = [sum([p for r, p in _survivors(model, q, o, den) if r in sat2]) for o in options]
             i = sums.index((min if mode == "min" else max)(sums))
             best[q], witness[q] = Fraction(sums[i], den), _strategy([q], budget, [options[i]])
@@ -558,11 +573,13 @@ def step_optimum(
     budget: int,
     mode: str,
     max_iterations: int | None = None,
+    limit: int = DEFAULT_LIMIT,
 ) -> dict[str, Fraction]:
     """Exact optimum for next and the step-bounded operators when the
     obstructing player may re-choose removals at every step (the optimum
     over unrestricted strategies, by backward induction). Per-state choices
-    are enumerated outright rather than optimized."""
+    are enumerated outright rather than optimized; ``limit`` bounds each
+    state's list."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     frame = _frame(model.states, theta, sat1, sat2, max_iterations)
@@ -573,7 +590,7 @@ def step_optimum(
     rows = {
         q: [
             _survivors(model, q, removed, den)
-            for removed in removal_options(model, q, budget)
+            for removed in _limited_options(model, q, budget, limit)
         ]
         for q in frame.undetermined
     }
@@ -655,7 +672,7 @@ def path_optimum(
     with its witnesses, for next, until and release, and the step-wise one
     for the step-bounded operators, which has no memoryless witness."""
     if isinstance(theta, (BoundedUntil, BoundedRelease)):
-        values = step_optimum(model, theta, sat1, sat2, budget, mode, max_iterations)
+        values = step_optimum(model, theta, sat1, sat2, budget, mode, max_iterations, limit)
         return OptimumResult(values=values, witnesses={})
     return oracle_optimum(model, theta, sat1, sat2, budget, mode, limit, max_iterations)
 

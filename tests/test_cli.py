@@ -307,6 +307,32 @@ class TestEnumerationLimit:
         assert out == ""
         assert "1048575 strategies exceed the enumeration limit of 1000000" in err
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            ("--formula", "<<0 < 0.5>> X goal"),
+            ("--formula", "<<0 < 0.5>> F<=2 goal"),
+            ("--path", "X goal"),
+        ],
+        ids=["next", "bounded", "next-path"],
+    )
+    def test_one_states_options_count_toward_the_limit(self, capsys, tmp_path, query):
+        # h's 10 free edges give it 2**10 - 1 = 1,023 removal options
+        targets = [f"t{i}" for i in range(10)]
+        edges = [{"from": "h", "to": t, "prob": "0.1", "cost": 0} for t in targets]
+        edges += [{"from": t, "to": t, "prob": "1", "cost": 0} for t in targets]
+        model = tmp_path / "free.json"
+        model.write_text(json.dumps(
+            {"states": ["h", *targets], "initial": "h",
+             "labels": {"t0": ["goal"]}, "edges": edges}
+        ))
+        argv = ("oracle", "--model", str(model), *query, "--grade", "0")
+        code, out, err = run(capsys, *argv, "--limit", "1000")
+        assert (code, out) == (5, "")
+        assert err == "1023 removal options at h exceed the enumeration limit of 1000\n"
+        code, _, _ = run(capsys, *argv, "--limit", "1023")
+        assert code == 0
+
 
 class TestProb:
     def test_chain_min_probabilities(self, capsys, chain_path):
@@ -653,6 +679,19 @@ class TestConformance:
             "--path", "false R goal", "--grade", "1",
         )
         assert code == 0
+
+    def test_operand_sets_are_the_oracles(self, capsys, chain_path):
+        # the engine's F goal at q, 0.9999999999417923, would put q in the
+        # left operand; its exact value 1 keeps q out
+        code, payload, _ = run_json(
+            capsys, "conformance", "--model", chain_path,
+            "--path", "!(<<0 >= 1>> F goal) U goal", "--grade", "0",
+        )
+        assert code == 0
+        assert (payload["oracle_zero"], payload["oracle_one"]) == (["q"], ["goal"])
+        assert payload["zero_diff"] == payload["one_diff"] == {
+            "search_only": [], "oracle_only": []
+        }
 
     def test_bounded_path_rejected(self, capsys, chain_path):
         code, _, _ = run(

@@ -716,9 +716,9 @@ def leaving_q(**succ):
 
 
 class TestKnownWrongVerdicts:
-    """Verdicts that still rest on a stopping rule or a clamp that cannot
-    bound its error (ROADMAP item 1). Each case disagrees with the exact
-    oracle today; the fix turns each into a passing test."""
+    """Verdicts that still rest on a stopping rule that cannot bound its
+    error, or on float rounding (ROADMAP item 1). Each case disagrees with
+    the exact oracle today; the fix turns each into a passing test."""
 
     @pytest.mark.xfail(strict=True, reason="the engine's verdict is not the oracle's")
     @pytest.mark.parametrize(
@@ -726,11 +726,9 @@ class TestKnownWrongVerdicts:
         [
             ("chain.json", "<<0 >= 1>> F goal"),
             (leaving_q(q="0.9999", goal="0.0001"), "<<0 < 0.9999995>> F goal"),
-            (leaving_q(goal="0.0000000000001", sink="0.9999999999999"), "<<0 > 0>> F goal"),
-            (leaving_q(goal="0.0000000000001", sink="0.9999999999999"), "<<0 > 0>> X goal"),
             (leaving_q(goal="0.1", sink="0.9"), "<<0 > 0.1>> X goal"),
         ],
-        ids=["chain-one", "slow-self-loop", "clamped-until", "clamped-next", "float-tie"],
+        ids=["chain-one", "slow-self-loop", "float-tie"],
     )
     def test_verdict_matches_the_oracle(self, model, formula, chain_path):
         if model == "chain.json":
@@ -739,12 +737,33 @@ class TestKnownWrongVerdicts:
         assert check(model, phi).sat == oracle_sat(model, phi)
 
 
+class TestValuesAsComputed:
+    """Next and until compute their zeros exactly, so the engine reports a
+    tiny positive value as it computed it, and caps only what a float row
+    sum pushes past 1."""
+
+    @pytest.mark.parametrize(
+        "formula", ["<<0 > 0>> F goal", "<<0 > 0>> X goal"], ids=["until", "next"]
+    )
+    def test_a_tiny_value_is_kept(self, formula):
+        model = leaving_q(goal="0.0000000000001", sink="0.9999999999999")
+        phi = parse(formula)
+        assert check(model, phi).sat == oracle_sat(model, phi)
+
+    def test_a_row_sum_past_one_is_capped(self):
+        # left to right, 0.33 + 0.56 + 0.11 is 1.0000000000000002
+        edges = [("q", "a", "0.33", 1), ("q", "b", "0.56", 1), ("q", "c", "0.11", 1)]
+        edges += [(r, r, 1, 1) for r in "abc"]
+        model = Pots.build(["q", "a", "b", "c"], "q", edges)
+        assert check(model, parse("<<0 > 1>> X true")).sat == frozenset()
+
+
 class TestFlushedReleaseVerdicts:
     """Release verdicts at threshold 0 on ``corpus(2024, 200)`` that agree
-    with the oracle only because the clamp flushes the engine's value at a
-    state to 0: 7.4e-19 at S2 of model 16, 7.3e-13 at S1 and 5.7e-14 at S2
-    of model 184. Item 1 of ROADMAP deletes the clamp; its zero set for
-    release must keep these verdicts."""
+    with the oracle only because ``prob_release`` flushes the engine's value
+    at a state to 0: 7.4e-19 at S2 of model 16, 7.3e-13 at S1 and 5.7e-14
+    at S2 of model 184. The flush keeps these verdicts until release has an
+    exact zero set (ROADMAP item 1)."""
 
     @pytest.mark.parametrize(
         "index, formula",
