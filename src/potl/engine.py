@@ -272,12 +272,14 @@ def _policy_iteration(
         x = _iterate(frame, _policy_step(model, policy), opts, stats)
         # conservative improvement: the inner solve carries up to about an
         # epsilon of residual, so switching on smaller gains just makes
-        # near-tied argmins flip forever
+        # near-tied argmins flip forever. A removal worth exactly 0 is taken
+        # at any gain: nothing can undercut it, so it never flips back
         gate = 10 * opts.epsilon
         improved = {}
         for q in frame.undetermined:
             removal, value = best_removal(model, q, budget, x)
-            improved[q] = removal if value < x[q] - gate else policy[q]
+            better = value < x[q] - gate or value == 0.0 < x[q]
+            improved[q] = removal if better else policy[q]
         if improved == policy:
             return x
         policy = improved

@@ -148,12 +148,10 @@ def _limited_options(
 ) -> list[tuple[Edge, ...]]:
     """``removal_options(model, q, budget)``, refused with
     :class:`EnumerationLimit` before listing when there are more than
-    ``limit``. Only a row with more than ``limit`` subsets is counted."""
-    costs = model.row(q).costs
-    if (1 << len(costs)) - 1 > limit:
-        count = _option_count(costs, budget)
-        if count > limit:
-            raise EnumerationLimit(count, limit, f"removal options at {q}")
+    ``limit``."""
+    count = _option_count(model.row(q).costs, budget)
+    if count > limit:
+        raise EnumerationLimit(count, limit, f"removal options at {q}")
     return removal_options(model, q, budget)
 
 

@@ -738,9 +738,10 @@ class TestKnownWrongVerdicts:
 
 
 class TestValuesAsComputed:
-    """Next and until compute their zeros exactly, so the engine reports a
-    tiny positive value as it computed it, and caps only what a float row
-    sum pushes past 1."""
+    """Next and until reach their zeros exactly, value iteration by its
+    argmin removal and policy iteration by switching to any removal worth
+    exactly 0, so the engine reports a tiny positive value as it computed
+    it, and caps only what a float row sum pushes past 1."""
 
     @pytest.mark.parametrize(
         "formula", ["<<0 > 0>> F goal", "<<0 > 0>> X goal"], ids=["until", "next"]
@@ -749,6 +750,15 @@ class TestValuesAsComputed:
         model = leaving_q(goal="0.0000000000001", sink="0.9999999999999")
         phi = parse(formula)
         assert check(model, phi).sat == oracle_sat(model, phi)
+
+    @pytest.mark.parametrize("solver", ["vi", "pi"])
+    def test_a_tiny_value_is_removed_to_zero(self, solver):
+        # the empty policy leaves 1e-13 at q, far below policy iteration's
+        # improvement gate; cutting the goal edge is worth exactly 0
+        model = leaving_q(goal="0.0000000000001", sink="0.9999999999999")
+        phi = parse("<<1 <= 0>> F goal")
+        sat = check(model, phi, EngineOptions(solver=solver)).sat
+        assert sat == oracle_sat(model, phi)
 
     def test_a_row_sum_past_one_is_capped(self):
         # left to right, 0.33 + 0.56 + 0.11 is 1.0000000000000002
