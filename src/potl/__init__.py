@@ -39,7 +39,6 @@ from .obstruction import (
 )
 from .oracle import (
     EnumerationLimit,
-    cylinder_measure,
     enumerate_strategies,
     exact_prob,
     oracle_optimum,

@@ -1,14 +1,17 @@
 """Exact ground truth over arbitrary-precision rationals.
 
 Everything here trades speed for certainty: probabilities come from the
-model's exact rationals, removal strategies are enumerated exhaustively,
-fixed-strategy probabilities are computed by finite unrolling or Gaussian
-elimination, and optima are pointwise extrema over the enumeration. Meant
-for desk-scale models; the enumeration refuses to run past a limit, which
-counts what would be listed: the full strategy product for until and
-release, and one state's removal options for next and the step-bounded
-operators, which optimize state by state. :func:`path_optimum` picks each
-operator's optimum.
+model's exact rationals, fixed-strategy probabilities are computed by
+finite unrolling or Gaussian elimination, and a minimum is the pointwise
+minimum over an exhaustive enumeration of removal strategies. A maximum
+enumerates nothing: the maximizer removes nothing (:func:`_choices`, the
+one place that says what each obstructor may remove), so it is one
+evaluation of the empty strategy, a single exact solve or unroll. Meant
+for desk-scale models; the minimizer's enumeration refuses to run past a
+limit, which counts what would be listed: the full strategy product for
+until and release, and one state's removal options for next and the
+step-bounded operators, which optimize state by state.
+:func:`path_optimum` picks each operator's optimum.
 
 The arithmetic is on integers. Each entry point scales the probabilities
 on the rows it reads to integer numerators over one common denominator,
@@ -70,32 +73,14 @@ class StepLimit(RuntimeError):
 
 
 class EnumerationLimit(RuntimeError):
-    """A list the oracle would enumerate exceeds the configured limit: the
-    strategy product, or one state's removal options."""
+    """A list the minimizer's enumeration would walk exceeds the configured
+    limit: the strategy product, or one state's removal options. A maximum
+    lists nothing, so it never raises this."""
 
     def __init__(self, count: int, limit: int, what: str = "strategies"):
         super().__init__(f"{count} {what} exceed the enumeration limit of {limit}")
         self.count = count
         self.limit = limit
-
-
-# -- cylinder measure ---------------------------------------------------------
-
-
-def cylinder_measure(model: Pots, prefix: Sequence[str]) -> Fraction:
-    """Exact measure of all infinite paths extending the given finite
-    prefix: the product of its transition probabilities."""
-    if not prefix:
-        raise ModelError("a path prefix needs at least one state")
-    for q in prefix:
-        model.state_index(q)
-    out = ONE
-    for q, r in zip(prefix, prefix[1:]):
-        p = model.prob_exact(q, r)
-        if p == 0:
-            raise ModelError(f"prefix steps through a missing edge ({q}, {r})")
-        out *= p
-    return out
 
 
 # -- strategy enumeration ------------------------------------------------------
@@ -143,12 +128,22 @@ def count_strategies(model: Pots, budget: int) -> int:
     return math.prod(_option_count(model.row(q).costs, budget) for q in model.states)
 
 
-def _limited_options(
-    model: Pots, q: str, budget: int, limit: int
+def _choices(
+    model: Pots, q: str, budget: int, mode: str, limit: int
 ) -> list[tuple[Edge, ...]]:
-    """``removal_options(model, q, budget)``, refused with
-    :class:`EnumerationLimit` before listing when there are more than
-    ``limit``."""
+    """The removals the obstructor of ``mode`` may pick at ``q``, in
+    :func:`removal_options` order; the optima pick the first minimal one.
+
+    The maximizer picks the empty removal only. A removal deletes paths
+    and leaves every surviving path its measure, so it takes probability
+    from every event and gives none; removing nothing attains the maximum,
+    and as the first option it is also the first strategy to attain it.
+
+    The minimizer picks among all of ``removal_options(model, q, budget)``,
+    refused with :class:`EnumerationLimit` before listing when there are
+    more than ``limit``."""
+    if mode == "max":
+        return [()]
     count = _option_count(model.row(q).costs, budget)
     if count > limit:
         raise EnumerationLimit(count, limit, f"removal options at {q}")
@@ -516,14 +511,17 @@ def oracle_optimum(
     strategy of the grade, with the first strategy attaining each state's
     optimum kept as witness.
 
-    A next value reads its state's own removal only, so each state takes
-    its first optimal option, removed alone: the first strategy of the
-    product to attain it; ``limit`` bounds each state's options. Until
-    and release walk, in :func:`enumerate_strategies` order, the options
-    of the frame's undetermined states only, and ``limit`` bounds the
-    whole product. The other states remove nothing; :func:`_fixed_values`
-    reads no other row, so the first strategy to reach a state's optimum
-    is that of the full product."""
+    Each state walks its :func:`_choices`. In max mode that is the empty
+    removal alone, so the maximum is one evaluation of the empty strategy
+    and ``limit`` is never reached. In min mode a next value reads its
+    state's own removal only, so each state takes its first minimal
+    option, removed alone: the first strategy of the product to attain
+    it; ``limit`` bounds each state's options. Until and release walk, in
+    :func:`enumerate_strategies` order, the options of the frame's
+    undetermined states only, and ``limit`` bounds the whole product. The
+    other states remove nothing; :func:`_fixed_values` reads no other row,
+    so the first strategy to reach a state's optimum is that of the full
+    product."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     states = model.states
@@ -533,14 +531,15 @@ def oracle_optimum(
     if isinstance(theta, Next):
         den = _denominator(model, states)
         for q in states:
-            options = _limited_options(model, q, budget, limit)
+            options = _choices(model, q, budget, mode, limit)
             sums = [sum([p for r, p in _survivors(model, q, o, den) if r in sat2]) for o in options]
-            i = sums.index((min if mode == "min" else max)(sums))
+            i = sums.index(min(sums))
             best[q], witness[q] = Fraction(sums[i], den), _strategy([q], budget, [options[i]])
         return OptimumResult(values=best, witnesses=witness)
-    _check_limit(model, budget, limit)
+    if mode == "min":  # the maximizer's product is the one empty strategy
+        _check_limit(model, budget, limit)
     walk = [q for q in states if q in frame.undetermined]
-    per_state = [removal_options(model, q, budget) for q in walk]
+    per_state = [_choices(model, q, budget, mode, limit) for q in walk]
     den = _denominator(model, walk)
     per_state_rows = [
         [_survivors(model, q, removed, den) for removed in options]
@@ -555,7 +554,7 @@ def oracle_optimum(
         # a state off the frame keeps one value under every strategy
         for q in frame.undetermined if best else values:
             v = values[q]
-            if q not in best or (v < best[q] if mode == "min" else v > best[q]):
+            if q not in best or v < best[q]:
                 best[q] = v
                 if strategy is None:
                     strategy = _strategy(walk, budget, assignment)
@@ -575,20 +574,21 @@ def step_optimum(
 ) -> dict[str, Fraction]:
     """Exact optimum for next and the step-bounded operators when the
     obstructing player may re-choose removals at every step (the optimum
-    over unrestricted strategies, by backward induction). Per-state choices
-    are enumerated outright rather than optimized; ``limit`` bounds each
-    state's list."""
+    over unrestricted strategies, by backward induction). Each step picks
+    the least value among the state's :func:`_choices`: in min mode every
+    removal option, listed outright rather than optimized, with ``limit``
+    bounding each state's list; in max mode the empty removal alone, so the
+    maximum is one unroll of the empty strategy."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     frame = _frame(model.states, theta, sat1, sat2, max_iterations)
     if frame.sweeps is None:
         raise TypeError(f"step_optimum handles next and bounded operators: {theta!r}")
-    pick = min if mode == "min" else max
     den = _denominator(model, frame.undetermined)
     rows = {
         q: [
             _survivors(model, q, removed, den)
-            for removed in _limited_options(model, q, budget, limit)
+            for removed in _choices(model, q, budget, mode, limit)
         ]
         for q in frame.undetermined
     }
@@ -598,7 +598,7 @@ def step_optimum(
         frame,
         sat2,
         den,
-        lambda q, x: pick([sum([p * x[r] for r, p in row]) for row in rows[q]]),
+        lambda q, x: min([sum([p * x[r] for r, p in row]) for row in rows[q]]),
     )
 
 

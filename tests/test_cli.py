@@ -283,9 +283,10 @@ class TestEnumerationLimit:
         assert exc.value.code == 2
         assert "must be positive" in capsys.readouterr().err
 
-    def test_free_edges_of_a_pinned_state_count_toward_the_limit(self, capsys, tmp_path):
-        # goal is pinned to 1 for F goal, so the walk evaluates one strategy,
-        # but the limit counts the 2**20 - 1 removal options of its free edges
+    @staticmethod
+    def pinned_free_edges(tmp_path):
+        """s splits between goal and t0; goal, pinned to 1 for F goal, has
+        20 free edges, so 2**20 - 1 removal options."""
         targets = [f"t{i}" for i in range(20)]
         edges = [
             {"from": "s", "to": "goal", "prob": "0.5", "cost": 1},
@@ -298,14 +299,37 @@ class TestEnumerationLimit:
             {"states": ["s", "goal", *targets], "initial": "s",
              "labels": {"goal": ["goal"]}, "edges": edges}
         ))
+        return str(model)
+
+    def test_free_edges_of_a_pinned_state_count_toward_the_limit(self, capsys, tmp_path):
+        # goal is pinned to 1 for F goal, so the walk evaluates one strategy,
+        # but the limit counts the 2**20 - 1 removal options of its free edges
+        model = self.pinned_free_edges(tmp_path)
         start = time.perf_counter()
         code, out, err = run(
-            capsys, "oracle", "--model", str(model), "--path", "F goal", "--grade", "0"
+            capsys, "oracle", "--model", model, "--path", "F goal", "--grade", "0"
         )
         assert time.perf_counter() - start < 0.5
         assert code == 5
         assert out == ""
         assert "1048575 strategies exceed the enumeration limit of 1000000" in err
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            ("--path", "F goal", "--grade", "0", "--mode", "max"),
+            ("--formula", "<<0 >= 0.5>> F goal"),
+        ],
+        ids=["path", "formula"],
+    )
+    def test_the_maximizer_lists_nothing(self, capsys, tmp_path, query):
+        # the maximizer removes nothing, so no limit bounds it
+        model = self.pinned_free_edges(tmp_path)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "--model", model, *query)
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "")
+        assert "s: 1/2" in out.splitlines()
 
     @pytest.mark.parametrize(
         "query",

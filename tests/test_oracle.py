@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylinder import cylinder_measure
 from potl import oracle
 from potl.generate import corpus, random_pots, scaling_model
 from potl.model import ModelError, Pots, dumps_model, edges_of, loads_model, prune
@@ -16,7 +17,6 @@ from potl.obstruction import MemorylessStrategy, empty_strategy
 from potl.oracle import (
     EnumerationLimit,
     count_strategies,
-    cylinder_measure,
     enumerate_strategies,
     exact_bounded_by_paths,
     exact_prob,
@@ -497,8 +497,9 @@ FRAMES = {
 
 
 class TestFrameWalk:
-    """An optimum walks only the removal options of its frame's
-    undetermined states; the others keep the empty removal."""
+    """A minimum walks only the removal options of its frame's
+    undetermined states; the others keep the empty removal. A maximum
+    walks none."""
 
     @pytest.mark.parametrize("theta", FRAMES, ids=("U", "R"))
     def test_one_evaluation_per_choice_inside_the_frame(self, theta, monkeypatch):
@@ -509,13 +510,15 @@ class TestFrameWalk:
         )
         sat1, sat2 = label_sets(FRAME_MODEL)
         for grade in (0, 1, 2, 4):
-            for mode in ("min", "max"):
-                calls.clear()
-                oracle_optimum(FRAME_MODEL, theta, sat1, sat2, grade, mode)
-                assert len(calls) == math.prod(
-                    len(removal_options(FRAME_MODEL, q, grade)) for q in FRAMES[theta]
-                )
-                assert len(calls) < count_strategies(FRAME_MODEL, grade)
+            calls.clear()
+            oracle_optimum(FRAME_MODEL, theta, sat1, sat2, grade, "min")
+            assert len(calls) == math.prod(
+                len(removal_options(FRAME_MODEL, q, grade)) for q in FRAMES[theta]
+            )
+            assert len(calls) < count_strategies(FRAME_MODEL, grade)
+            calls.clear()
+            oracle_optimum(FRAME_MODEL, theta, sat1, sat2, grade, "max")
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("theta", FRAMES, ids=("U", "R"))
     def test_optimum_is_that_of_the_full_enumeration(self, theta):
@@ -856,6 +859,46 @@ def reference_step_optimum(model, theta, sat1, sat2, grade, mode):
             for q in model.states
         }
     return x
+
+
+# corpus(2024, 200) x grades {0, 1, 2, 4}, the 779 of 800 instances whose
+# full enumeration is at most 200 strategies
+SMALL_INSTANCES = [
+    (model, grade)
+    for model in corpus(2024, 200)
+    for grade in (0, 1, 2, 4)
+    if count_strategies(model, grade) <= 200
+]
+
+
+class TestMaximizerRemovesNothing:
+    """The maximizer reads the empty removal alone; the full enumeration
+    agrees with it, values and witnesses."""
+
+    def test_memoryless_maximum_is_that_of_the_enumeration(self):
+        assert len(SMALL_INSTANCES) == 779
+        for model, grade in SMALL_INSTANCES:
+            sat1, sat2 = label_sets(model)
+            for theta in (
+                Next(Atom("b")),
+                Until(Atom("a"), Atom("b")),
+                Release(Atom("a"), Atom("b")),
+            ):
+                best, witness = first_attaining(model, theta, sat1, sat2, grade, "max")
+                result = oracle_optimum(model, theta, sat1, sat2, grade, "max")
+                assert dict(result.values) == best
+                assert dict(result.witnesses) == witness
+
+    def test_step_maximum_is_that_of_the_enumeration(self):
+        for model, grade in SMALL_INSTANCES:
+            sat1, sat2 = label_sets(model)
+            for theta in (
+                BoundedUntil(Atom("a"), Atom("b"), 3),
+                BoundedRelease(Atom("a"), Atom("b"), 3),
+            ):
+                assert step_optimum(model, theta, sat1, sat2, grade, "max") == (
+                    reference_step_optimum(model, theta, sat1, sat2, grade, "max")
+                )
 
 
 class TestIntegerArithmetic:
