@@ -7,11 +7,18 @@ with ``engine.check(...).sat`` against ``oracle_sat``. The script prints
 the number of checks, of disagreements and of models with one, then the
 disagreements by threshold and by path.
 
-    python scripts/verdict_gap_report.py [--count 200] [--seed 2024]
+With ``--nested N`` each model is checked instead on N depth-2 formulas
+from a generator seeded with ``--seed``: a query whose path formula's
+operands are atoms ``a`` and ``b`` or queries over them, at grades 0 to
+4 (``--grades`` sets the flat grid's only) and the thresholds below. The
+script then lists each disagreement.
+
+    python scripts/verdict_gap_report.py [--count 200] [--seed 2024] [--nested N]
 """
 
 import argparse
 import pathlib
+import random
 import sys
 from collections import Counter
 
@@ -27,6 +34,43 @@ PATHS = [
     "G a", "G<=3 a", "F<=3 b", "!a U b", "b R a",
 ]
 THRESHOLDS = ["< 1", "<= 0", "> 0", ">= 1", "< 1/2", ">= 1/2"]
+SHAPES = ["X {}", "F {}", "G {}", "{} U {}", "{} R {}", "{} U<=3 {}"]
+
+
+def query(rng: random.Random, shape: str, operands: list[str]) -> str:
+    return f"<<{rng.randint(0, 4)} {rng.choice(THRESHOLDS)}>> {shape.format(*operands)}"
+
+
+def flat_query(rng: random.Random) -> str:
+    shape = rng.choice(SHAPES)
+    return query(rng, shape, [rng.choice("ab") for _ in range(shape.count("{}"))])
+
+
+def nested_formula(rng: random.Random) -> str:
+    """A depth-2 query: each operand of its path formula is an atom or a
+    query over atoms, and at least one is a query."""
+    shape = rng.choice(SHAPES)
+    operands = [f"({flat_query(rng)})"]
+    if shape.count("{}") == 2:
+        operands.append(f"({flat_query(rng)})" if rng.random() < 0.5 else rng.choice("ab"))
+        rng.shuffle(operands)
+    return query(rng, shape, operands)
+
+
+def nested_report(models: list, per_model: int, rng: random.Random) -> None:
+    checked, wrong = 0, []
+    for i, model in enumerate(models):
+        for _ in range(per_model):
+            formula = nested_formula(rng)
+            phi = parse(formula)
+            checked += 1
+            if check(model, phi).sat != oracle_sat(model, phi):
+                wrong.append((i, formula))
+    print(f"checks: {checked}")
+    print(f"disagreements: {len(wrong)}")
+    print(f"models with one: {len({i for i, _ in wrong})} of {len(models)}")
+    for i, formula in wrong:
+        print(f"  model#{i} {formula}")
 
 
 def main() -> None:
@@ -34,7 +78,11 @@ def main() -> None:
     parser.add_argument("--count", type=int, default=200)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--grades", type=int, nargs="+", default=[0, 1, 2, 4])
+    parser.add_argument("--nested", type=int, default=0, metavar="N")
     args = parser.parse_args()
+    if args.nested:
+        nested_report(corpus(args.seed, args.count), args.nested, random.Random(args.seed))
+        return
 
     checked = 0
     by_threshold, by_path, models = Counter(), Counter(), set()

@@ -4,11 +4,12 @@ Exit codes: 0 success (and, for check, initial state satisfied); 1 check
 ran but the initial state does not satisfy; 2 usage or formula errors,
 including a negative grade, an enumeration limit below 1, an epsilon that
 is not finite and positive, a maximum iteration count below 1, a state
-whose removal optimizer front outgrows its cap, a strategy file that
-cannot be written, a formula number of more digits than Python converts
-to an int, and input nested deeper than Python's recursion limit;
-3 invalid model; 4 no convergence, or a step bound above the maximum
-iteration count; 5 oracle enumeration too large.
+whose removal optimizer front outgrows its cap, a formula or strategy
+file that cannot be read or is not UTF-8, a strategy file that cannot be
+written, a formula number of more digits than Python converts to an int,
+and input nested deeper than Python's recursion limit; 3 invalid model,
+or one that cannot be read or is not UTF-8; 4 no convergence, or a step
+bound above the maximum iteration count; 5 oracle enumeration too large.
 
 ``main`` owns the exit-code table: the commands raise, and ``main`` maps
 ``_CliError`` to its code and the engine's, oracle's and optimizer's
@@ -75,7 +76,7 @@ def _rational_text(v: Fraction) -> str:
 def _load_model(path: str) -> Pots:
     try:
         return load_model(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read model: {exc}", EXIT_BAD_MODEL)
     except ModelError as exc:
         raise _CliError(f"invalid model: {exc}", EXIT_BAD_MODEL)
@@ -97,7 +98,7 @@ def _read_formula(args) -> StateFormula:
         try:
             with open(args.formula_file, "r", encoding="utf-8") as handle:
                 text = handle.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _CliError(f"cannot read formula file: {exc}", EXIT_USAGE)
     else:
         text = args.formula
@@ -209,7 +210,7 @@ def _cmd_prob(args) -> int:
 def _load_strategy_for(model: Pots, path: str) -> MemorylessStrategy:
     try:
         strategy = load_strategy(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read strategy: {exc}", EXIT_USAGE)
     except ModelError as exc:
         raise _CliError(f"invalid strategy: {exc}", EXIT_USAGE)

@@ -1,17 +1,23 @@
 """Exact ground truth over arbitrary-precision rationals.
 
 Everything here trades speed for certainty: probabilities come from the
-model's exact rationals, fixed-strategy probabilities are computed by
-finite unrolling or Gaussian elimination, and a minimum is the pointwise
-minimum over an exhaustive enumeration of removal strategies. A maximum
-enumerates nothing: the maximizer removes nothing (:func:`_choices`, the
-one place that says what each obstructor may remove), so it is one
-evaluation of the empty strategy, a single exact solve or unroll. Meant
-for desk-scale models; the minimizer's enumeration refuses to run past a
-limit, which counts what would be listed: the full strategy product for
-until and release, and one state's removal options for next and the
-step-bounded operators, which optimize state by state.
-:func:`path_optimum` picks each operator's optimum.
+model's exact rationals, and a minimum is the pointwise minimum over an
+exhaustive enumeration of removal strategies. A maximum enumerates
+nothing: the maximizer removes nothing (:func:`_choices`, the one place
+that says what each obstructor may remove), so it is one evaluation of
+the empty strategy. Meant for desk-scale models; the minimizer's
+enumeration refuses to run past a limit, which counts what would be
+listed: the full strategy product for until and release, and one
+state's removal options for next and the step-bounded operators.
+
+Next and the step-bounded operators are one backward induction,
+:func:`_unroll`: each step gives a state the least numerator among its
+survivor rows, one row under a fixed strategy and one per choice for an
+optimum (:func:`_choice_rows`, the one place that lists them). The
+first least row at the first step of the horizon is next's witness.
+Until and release under a fixed strategy are one exact solve, and
+their minimum walks the strategy product. :func:`path_optimum` picks
+each operator's optimum.
 
 The arithmetic is on integers. Each entry point scales the probabilities
 on the rows it reads to integer numerators over one common denominator,
@@ -34,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import Edge, ModelError, Pots, prune
 from .obstruction import MemorylessStrategy
@@ -321,7 +327,7 @@ class Frame(NamedTuple):
     at the indicator of ``sat2`` (the body, for next); the other states are
     pinned there."""
 
-    undetermined: Collection[str]
+    undetermined: frozenset[str]
     sweeps: int | None
 
 
@@ -336,7 +342,7 @@ def _frame(
     release pins 1 on ``sat1 & sat2`` and 0 off ``sat2``. A step bound
     above ``max_iterations`` (None: no cap) raises :class:`StepLimit`."""
     if isinstance(theta, Next):
-        return Frame(states, 1)
+        return Frame(frozenset(states), 1)
     bound = getattr(theta, "bound", None)
     if max_iterations is not None and bound is not None and bound > max_iterations:
         raise StepLimit(bound, max_iterations)
@@ -352,14 +358,18 @@ def _unroll(
     frame: Frame,
     sat2: frozenset[str],
     den: int,
-    step: Callable[[str, Mapping[str, int]], int],
-) -> dict[str, Fraction]:
+    rows: Mapping[str, Sequence[Survivors]],
+) -> tuple[dict[str, Fraction], dict[str, int]]:
     """Backward induction over the frame's step bound, on numerators: after
-    ``s`` steps every value is an integer over ``scale = den**s``. ``step``
-    gives a state's next numerator from the current ones; a state pinned
-    to 1 holds ``scale``. Each value is divided out once, at the end."""
+    ``s`` steps every value is an integer over ``scale = den**s``. Each step
+    gives an undetermined state the least numerator among its survivor
+    ``rows`` (one row for a fixed strategy, one per choice for an optimum);
+    a state pinned to 1 holds ``scale``. Each value is divided out once, at
+    the end. Also returns each state's first least row at the last step
+    unrolled, which is the first step of the horizon."""
     x = {q: (1 if q in sat2 else 0) for q in states}
     ones = sat2.difference(frame.undetermined)
+    first: dict[str, int] = {}
     scale = 1
     for _ in range(frame.sweeps):
         scale *= den
@@ -367,13 +377,16 @@ def _unroll(
         for q in ones:
             nxt[q] = scale
         for q in frame.undetermined:
-            nxt[q] = step(q, x)
+            sums = [sum([p * x[r] for r, p in row]) for row in rows[q]]
+            nxt[q] = least = min(sums)
+            first[q] = sums.index(least)
         x = nxt
     # 0 and 1 need no gcd
-    return {
+    values = {
         q: ZERO if not v else ONE if v == scale else Fraction(v, scale)
         for q, v in x.items()
     }
+    return values, first
 
 
 def _fixed_values(
@@ -388,13 +401,7 @@ def _fixed_values(
     """:func:`exact_prob` on the chain whose state ``q`` keeps ``rows[q]``,
     numerators over ``den``."""
     if frame.sweeps is not None:
-        return _unroll(
-            states,
-            frame,
-            sat2,
-            den,
-            lambda q, x: sum([p * x[r] for r, p in rows[q]]),
-        )
+        return _unroll(states, frame, sat2, den, {q: (row,) for q, row in rows.items()})[0]
     within = frame.undetermined
     if isinstance(theta, Until):
         return _reach_exact(states, rows, den, within, sat2)
@@ -497,6 +504,18 @@ class OptimumResult:
     witnesses: Mapping[str, MemorylessStrategy]
 
 
+def _choice_rows(
+    model: Pots, undetermined: Collection[str], budget: int, mode: str, limit: int
+) -> tuple[int, dict[str, list[tuple[Edge, ...]]], dict[str, list[Survivors]]]:
+    """Each undetermined state's :func:`_choices` and their survivor rows,
+    in the model's state order, with the rows' common denominator."""
+    states = [q for q in model.states if q in undetermined]
+    den = _denominator(model, states)
+    options = {q: _choices(model, q, budget, mode, limit) for q in states}
+    rows = {q: [_survivors(model, q, removed, den) for removed in options[q]] for q in states}
+    return den, options, rows
+
+
 def oracle_optimum(
     model: Pots,
     theta: PathFormula,
@@ -511,42 +530,31 @@ def oracle_optimum(
     strategy of the grade, with the first strategy attaining each state's
     optimum kept as witness.
 
-    Each state walks its :func:`_choices`. In max mode that is the empty
-    removal alone, so the maximum is one evaluation of the empty strategy
-    and ``limit`` is never reached. In min mode a next value reads its
-    state's own removal only, so each state takes its first minimal
-    option, removed alone: the first strategy of the product to attain
-    it; ``limit`` bounds each state's options. Until and release walk, in
-    :func:`enumerate_strategies` order, the options of the frame's
-    undetermined states only, and ``limit`` bounds the whole product. The
-    other states remove nothing; :func:`_fixed_values` reads no other row,
-    so the first strategy to reach a state's optimum is that of the full
-    product."""
+    Each state walks its :func:`_choices`; in max mode that is the empty
+    removal alone, so ``limit`` is never reached. A next value reads its
+    own state's removal only, so next is one :func:`_unroll` step, and a
+    state's witness is its first least row removed alone, the first
+    strategy of the product to attain it; ``limit`` bounds each state's
+    options. Until and release walk the product of the frame's
+    undetermined states' options in :func:`enumerate_strategies` order,
+    and ``limit`` bounds the whole product."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     states = model.states
     frame = _frame(states, theta, sat1, sat2, max_iterations)
-    best: dict[str, Fraction] = {}
-    witness: dict[str, MemorylessStrategy] = {}
     if isinstance(theta, Next):
-        den = _denominator(model, states)
-        for q in states:
-            options = _choices(model, q, budget, mode, limit)
-            sums = [sum([p for r, p in _survivors(model, q, o, den) if r in sat2]) for o in options]
-            i = sums.index(min(sums))
-            best[q], witness[q] = Fraction(sums[i], den), _strategy([q], budget, [options[i]])
-        return OptimumResult(values=best, witnesses=witness)
+        den, options, rows = _choice_rows(model, frame.undetermined, budget, mode, limit)
+        values, first = _unroll(states, frame, sat2, den, rows)
+        witnesses = {q: _strategy([q], budget, [options[q][first[q]]]) for q in states}
+        return OptimumResult(values=values, witnesses=witnesses)
     if mode == "min":  # the maximizer's product is the one empty strategy
         _check_limit(model, budget, limit)
-    walk = [q for q in states if q in frame.undetermined]
-    per_state = [_choices(model, q, budget, mode, limit) for q in walk]
-    den = _denominator(model, walk)
-    per_state_rows = [
-        [_survivors(model, q, removed, den) for removed in options]
-        for q, options in zip(walk, per_state)
-    ]
+    den, options, per_state_rows = _choice_rows(model, frame.undetermined, budget, mode, limit)
+    walk = list(options)
+    best: dict[str, Fraction] = {}
+    witness: dict[str, MemorylessStrategy] = {}
     for assignment, chosen in zip(
-        itertools.product(*per_state), itertools.product(*per_state_rows)
+        itertools.product(*options.values()), itertools.product(*per_state_rows.values())
     ):
         rows = dict(zip(walk, chosen))
         values = _fixed_values(states, rows, den, frame, theta, sat1, sat2)
@@ -574,32 +582,18 @@ def step_optimum(
 ) -> dict[str, Fraction]:
     """Exact optimum for next and the step-bounded operators when the
     obstructing player may re-choose removals at every step (the optimum
-    over unrestricted strategies, by backward induction). Each step picks
-    the least value among the state's :func:`_choices`: in min mode every
+    over unrestricted strategies): one :func:`_unroll` over the rows of
+    each undetermined state's :func:`_choices`. In min mode that is every
     removal option, listed outright rather than optimized, with ``limit``
-    bounding each state's list; in max mode the empty removal alone, so the
-    maximum is one unroll of the empty strategy."""
+    bounding each state's list; in max mode the empty removal alone, so
+    the maximum is one unroll of the empty strategy."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     frame = _frame(model.states, theta, sat1, sat2, max_iterations)
     if frame.sweeps is None:
         raise TypeError(f"step_optimum handles next and bounded operators: {theta!r}")
-    den = _denominator(model, frame.undetermined)
-    rows = {
-        q: [
-            _survivors(model, q, removed, den)
-            for removed in _choices(model, q, budget, mode, limit)
-        ]
-        for q in frame.undetermined
-    }
-    # every candidate is a numerator over the same power of den
-    return _unroll(
-        model.states,
-        frame,
-        sat2,
-        den,
-        lambda q, x: min([sum([p * x[r] for r, p in row]) for row in rows[q]]),
-    )
+    den, _, rows = _choice_rows(model, frame.undetermined, budget, mode, limit)
+    return _unroll(model.states, frame, sat2, den, rows)[0]
 
 
 # -- formula-level exact satisfaction -------------------------------------------

@@ -751,6 +751,25 @@ class TestExitCodeTable:
         assert out == ""
         assert err == "270 strategies exceed the enumeration limit of 2\n"
 
+    @pytest.mark.parametrize(
+        "argv, exit_code, message",
+        [
+            (["validate", "--model", "{f}"], 3, "model"),
+            (["check", "--model", "{chain}", "--formula-file", "{f}"], 2, "formula file"),
+            (["prob", "--model", "{chain}", "--path", "F goal", "--strategy", "{f}"], 2, "strategy"),
+            (["oracle", "--model", "{chain}", "--path", "F goal", "--strategy", "{f}"], 2, "strategy"),
+        ],
+        ids=["model", "formula-file", "prob-strategy", "oracle-strategy"],
+    )
+    def test_a_file_that_is_not_utf8_is_unreadable(
+        self, capsys, tmp_path, chain_path, argv, exit_code, message
+    ):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b"\xff{}")
+        code, out, err = run(capsys, *[arg.format(f=latin1, chain=chain_path) for arg in argv])
+        assert (code, out) == (exit_code, "")
+        assert err.startswith(f"cannot read {message}: ") and len(err.splitlines()) == 1
+
 
 class TestParser:
     def test_engine_defaults_are_the_engine_options(self):

@@ -423,6 +423,16 @@ VIEW_THETAS = (
 # four models of 4-5 states, each labelling states with a, b and both;
 # 9 to 126 strategies at grade 4
 VIEW_MODELS = corpus(271, 4, min_states=3)
+# at grade 1, cutting q's edge to g1 or to g2 leaves X b worth 1/3 either
+# way, and cutting s ties the empty removal's 2/3: each optimum keeps the
+# first of its two tied rows (VIEW_MODELS has such ties at X too)
+TIED_MODEL = Pots.build(
+    ["q", "g1", "g2", "s"],
+    "q",
+    [("q", r, Fraction(1, 3), 1) for r in ("g1", "g2", "s")]
+    + [(r, r, 1, 0) for r in ("g1", "g2", "s")],
+    labels={"g1": ["b"], "g2": ["b"]},
+)
 
 
 class TestSurvivorRows:
@@ -440,7 +450,7 @@ class TestSurvivorRows:
                         pruned, empty_strategy(), theta, sat1, sat2
                     )
 
-    @pytest.mark.parametrize("model", VIEW_MODELS)
+    @pytest.mark.parametrize("model", [*VIEW_MODELS, TIED_MODEL])
     def test_optimum_is_the_first_attaining_pointwise_loop(self, model):
         sat1, sat2 = label_sets(model)
         for grade in (0, 1, 2, 4):
@@ -566,6 +576,28 @@ class TestNextStateByState:
         with pytest.raises(EnumerationLimit):
             oracle_optimum(model, Until(TRUE, Atom("goal")), sat1, sat2, 0, "min")
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "optimum, theta",
+        [
+            (oracle_optimum, Next(Atom("b"))),
+            (step_optimum, Next(Atom("b"))),
+            (step_optimum, BoundedUntil(Atom("a"), Atom("b"), 2)),
+        ],
+        ids=["X", "step-X", "step-U<=2"],
+    )
+    def test_a_state_by_state_limit_names_the_first_state_in_model_order(self, optimum, theta):
+        # each of s0..s7 has 15 free removal options; the walk over them
+        # follows the model's state order, not the frame set's hash order
+        sources = [f"s{i}" for i in range(8)]
+        targets = ["goal", "t0", "t1", "t2"]
+        edges = [(s, t, Fraction(1, 4), 0) for s in sources for t in targets]
+        edges += [(t, t, 1, 0) for t in targets]
+        labels = {"goal": ["b"], **{s: ["a"] for s in sources}}
+        model = Pots.build([*sources, *targets], "s0", edges, labels=labels)
+        sat1, sat2 = label_sets(model)
+        with pytest.raises(EnumerationLimit, match="options at s0 exceed"):
+            optimum(model, theta, sat1, sat2, 0, "min", limit=2)
 
 
 class TestRowsOnlyForTheFrame:
