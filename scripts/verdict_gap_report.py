@@ -14,9 +14,13 @@ operands are atoms ``a`` and ``b`` or queries over them, at grades 0 to
 script then lists each disagreement.
 
     python scripts/verdict_gap_report.py [--count 200] [--seed 2024] [--nested N]
+
+A reader that closes the pipe early (``| head``) ends the script with
+status 141, as a SIGPIPE kill would, and no traceback.
 """
 
 import argparse
+import os
 import pathlib
 import random
 import sys
@@ -109,4 +113,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)

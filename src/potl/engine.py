@@ -6,11 +6,12 @@ frame, the whole solve: start values that pin every state but the
 undetermined ones a sweep updates, their undetermined successors, and a
 sweep count: one for next, k for the step-bounded operators, none for
 unbounded until and release, which sweep to a fixed point. One Jacobi
-loop runs every frame. Its step is the optimizer (value iteration, which
-also keeps each state's argmin removal for a witness) or a fixed policy's
-row sums (the power method inside policy iteration). The sweeps run on
-two value buffers that swap roles after each sweep, so no vector is
-copied per sweep.
+loop runs every frame. Its step is ``_argmin_step``, the engine's one
+optimizer call, which keeps each state's argmin removal (value iteration
+and witness synthesis; policy iteration improves with it too), or a fixed
+policy's row sums (max mode, and the power method of policy iteration).
+The sweeps run on two value buffers that swap roles after each sweep, so
+no vector is copied per sweep.
 
 A step reads only its state's successors, so a state none of whose
 undetermined successors was stepped in a sweep would get the same float
@@ -168,13 +169,15 @@ def _frame(
 Step = Callable[[str, Mapping[str, float]], float]
 
 
-def _optimal_step(model: Pots, frame: Frame, budget: int, mode: str) -> Step:
-    """The optimizer's surviving mass (min), or the empty policy's row sum
-    over the frame's undetermined states (max: the maximizer removes
-    nothing)."""
-    if mode == "min":
-        return lambda q, x: best_removal(model, q, budget, x)[1]
-    return _policy_step(model, dict.fromkeys(frame.undetermined, ()))
+def _argmin_step(model: Pots, budget: int, chosen: dict[str, Removal]) -> Step:
+    """The engine's one optimizer call: a state's surviving mass under its
+    best removal, kept in ``chosen``. Tracers that rebind ``best_removal`` see it."""
+
+    def step(q: str, x: Mapping[str, float]) -> float:
+        chosen[q], value = best_removal(model, q, budget, x)
+        return value
+
+    return step
 
 
 def _iterate(
@@ -266,8 +269,10 @@ def _policy_iteration(
     model: Pots, frame: Frame, budget: int, opts: EngineOptions, stats: Stats | None
 ) -> dict[str, float]:
     """Minimizing policy iteration; each policy is evaluated by the power
-    method from the frame's start."""
+    method from the frame's start, and improved by ``_argmin_step``."""
     policy: dict[str, Removal] = {q: () for q in frame.undetermined}
+    chosen: dict[str, Removal] = {}
+    argmin = _argmin_step(model, budget, chosen)
     for _ in range(_POLICY_ROUNDS):
         x = _iterate(frame, _policy_step(model, policy), opts, stats)
         # conservative improvement: the inner solve carries up to about an
@@ -277,9 +282,9 @@ def _policy_iteration(
         gate = 10 * opts.epsilon
         improved = {}
         for q in frame.undetermined:
-            removal, value = best_removal(model, q, budget, x)
+            value = argmin(q, x)
             better = value < x[q] - gate or value == 0.0 < x[q]
-            improved[q] = removal if better else policy[q]
+            improved[q] = chosen[q] if better else policy[q]
         if improved == policy:
             return x
         policy = improved
@@ -296,13 +301,15 @@ def _optimum(
 ) -> dict[str, float]:
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    # the maximizer removes nothing, so its policy iteration would be the
-    # power method on the unpruned chain: the same sweeps as value iteration
-    if frame.sweeps is None and opts.solver == "pi" and mode == "min":
+    # the maximizer removes nothing: its step is the empty policy's row sums
+    # under either solver, since policy iteration would run the same sweeps
+    if mode == "max":
+        step = _policy_step(model, dict.fromkeys(frame.undetermined, ()))
+        x = _iterate(frame, step, opts, stats)
+    elif frame.sweeps is None and opts.solver == "pi":
         x = _policy_iteration(model, frame, budget, opts, stats)
     else:
-        step = _optimal_step(model, frame, budget, mode)
-        x = _iterate(frame, step, opts, stats)
+        x = _iterate(frame, _argmin_step(model, budget, {}), opts, stats)
     for q in frame.undetermined:  # a float row sum can round past 1
         x[q] = min(x[q], 1.0)
     return x
@@ -432,22 +439,14 @@ def synthesize(
     stats: Stats | None = None,
 ) -> tuple[MemorylessStrategy, dict[str, float]]:
     """A memoryless witness and its own value. One min-mode value iteration
-    runs over the frame, and its step keeps the argmin removal it picks at
-    each state; the witness is each state's last kept removal (empty at
-    horizon 0, where no step runs). The values are the witness's
+    runs over the frame, and its step, ``_argmin_step``, keeps the argmin
+    removal at each state; the witness is each state's last kept removal
+    (empty at horizon 0, where no step runs). The values are the witness's
     fixed-strategy evaluation, which an exact re-run must reproduce."""
     frame = _frame(model, type(theta), sat1, sat2, getattr(theta, "bound", None))
-    removal: dict[str, frozenset] = {}
-
-    def step(q: str, x: Mapping[str, float]) -> float:
-        removed, value = best_removal(model, q, budget, x)
-        if removed:
-            removal[q] = frozenset(removed)
-        else:
-            removal.pop(q, None)
-        return value
-
-    _iterate(frame, step, opts, stats)
+    chosen: dict[str, Removal] = {}
+    _iterate(frame, _argmin_step(model, budget, chosen), opts, stats)
+    removal = {q: frozenset(r) for q, r in chosen.items() if r}
     strategy = MemorylessStrategy(grade=budget, removal=removal)
     values = prob_fixed(model, strategy, theta, sat1, sat2, opts, stats)
     return strategy, values

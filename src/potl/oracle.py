@@ -246,16 +246,24 @@ def _solve(a: list[list[int]]) -> list[Fraction]:
     return [Fraction(row[n], prev) for row in a]
 
 
+def _predecessors(
+    rows: Mapping[str, Survivors], region: frozenset[str]
+) -> dict[str, list[str]]:
+    """Each state's predecessors in ``region`` along their survivor rows."""
+    pred: dict[str, list[str]] = {}
+    for q in region:
+        for r, _ in rows[q]:
+            pred.setdefault(r, []).append(q)
+    return pred
+
+
 def _backward_reachable(
     rows: Mapping[str, Survivors], targets: frozenset[str], through: frozenset[str]
 ) -> set[str]:
     """States with a positive-probability path to ``targets`` whose
     intermediate states all lie in ``through``: a worklist from the
     targets back along the rows of ``through``."""
-    pred: dict[str, list[str]] = {}
-    for q in through:
-        for r, _ in rows[q]:
-            pred.setdefault(r, []).append(q)
+    pred = _predecessors(rows, through)
     reached = set(targets)
     work = list(reached)
     while work:
@@ -307,10 +315,7 @@ def _stable_core(
     """Largest subset of ``region`` every state of which keeps full
     probability mass (numerators summing to ``den``) inside the subset: a
     worklist that rechecks a state's predecessors when it leaves."""
-    pred: dict[str, list[str]] = {}
-    for q in region:
-        for r, _ in rows[q]:
-            pred.setdefault(r, []).append(q)
+    pred = _predecessors(rows, region)
     core = set(region)
     work = list(region)
     while work:

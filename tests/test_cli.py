@@ -1,4 +1,7 @@
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 from decimal import Decimal
@@ -13,6 +16,8 @@ from potl.generate import scaling_model
 from potl.model import dumps_model, load_model
 from potl.obstruction import load_strategy, validate_strategy
 from potl.syntax import parse_path_formula
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(capsys, *argv):
@@ -805,3 +810,24 @@ class TestOracleCalls:
         assert code == 0
         assert payload["sat"] == ["S0", "S1", "S2"]
         assert len(calls) == 1
+
+
+class TestVerdictGapScript:
+    def test_a_reader_that_closes_early_gets_no_traceback(self):
+        """``verdict_gap_report.py | head`` ends with a SIGPIPE kill's status
+        and nothing on stderr. The reader closes before the script writes,
+        so the broken pipe shows on every run, not only when it wins a race
+        with the script's last write."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, str(SCRIPTS / "verdict_gap_report.py"), "--count", "1"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert done.stderr == b""
+        assert done.returncode == 141

@@ -525,7 +525,7 @@ class TestSweepContract:
         sat1, sat2 = label_sets(model)
         frame = engine._frame(model, op, sat1, sat2, 6 if op is BoundedUntil else None)
         before = dict(frame.start)
-        step = engine._optimal_step(model, frame, 2, "min")
+        step = engine._argmin_step(model, 2, {})
         x = engine._iterate(frame, step, EngineOptions(), None)
         assert frame.start == before
         assert x != before
@@ -533,6 +533,31 @@ class TestSweepContract:
             y = engine._policy_iteration(model, frame, 2, EngineOptions(solver="pi"), None)
             assert frame.start == before
             assert max(abs(x[q] - y[q]) for q in model.states) < 1e-8
+
+
+class TestPolicyImprovement:
+    """Policy iteration calls the optimizer only in its improvement scans,
+    once per undetermined state in each round, in the frame's order."""
+
+    @pytest.mark.parametrize("op", [Until, Release])
+    def test_each_round_calls_the_optimizer_once_per_undetermined_state(
+        self, counted, monkeypatch, op
+    ):
+        model = scaling_model(200)
+        sat1, sat2 = label_sets(model)
+        undetermined = engine._frame(model, op, sat1, sat2).undetermined
+        assert undetermined
+        rounds = []  # each round evaluates its policy with a new _policy_step
+        policy_step = engine._policy_step
+
+        def evaluating(model, policy):
+            rounds.append(policy)
+            return policy_step(model, policy)
+
+        monkeypatch.setattr(engine, "_policy_step", evaluating)
+        path_values(model, op(Atom("a"), Atom("b")), 2, "min", EngineOptions(solver="pi"))
+        assert len(rounds) > 1
+        assert counted == undetermined * len(rounds)
 
 
 def planned_answers(model, solver):
@@ -647,7 +672,7 @@ class TestFixedAndSynthesis:
                 bound = getattr(theta, "bound", 1)
                 frame = engine._frame(model, type(theta), sat1, sat2, bound)
                 for grade in (0, 1, 2, 4):
-                    step = engine._optimal_step(model, frame, grade, "min")
+                    step = engine._argmin_step(model, grade, {})
                     x = engine._iterate(
                         frame._replace(sweeps=bound - 1), step, EngineOptions(), None
                     )
