@@ -57,10 +57,13 @@ class Pots:
     an integer removal cost per edge.
 
     Instances are immutable after construction and safe to share between
-    concurrent queries. Construction rejects duplicate states and edges or
-    labels on undeclared states, so ``labels`` holds declared states only;
-    it does not enforce the semantic invariants (stochasticity,
-    seriality); see :func:`validate`.
+    concurrent queries. The one cache, the removal optimizer's per-state
+    plans, fills as queries run; a plan depends only on the model, the
+    state and the budget, so threads that make the same plan store equal
+    values, and no lock is needed. Construction rejects duplicate states
+    and edges or labels on undeclared states, so ``labels`` holds declared
+    states only; it does not enforce the semantic invariants
+    (stochasticity, seriality); see :func:`validate`.
     """
 
     states: tuple[str, ...]
@@ -72,6 +75,7 @@ class Pots:
     _index: dict = field(init=False, repr=False, compare=False)
     _rows: dict = field(init=False, repr=False, compare=False)
     _pred: dict = field(init=False, repr=False, compare=False)
+    _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {q: i for i, q in enumerate(self.states)}
@@ -106,6 +110,7 @@ class Pots:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_pred", {q: tuple(v) for q, v in pred.items()})
+        object.__setattr__(self, "_plans", {})
 
     @classmethod
     def build(

@@ -7,7 +7,6 @@ whose total cost fits the grade; at least one edge always survives.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from bisect import bisect_right
@@ -88,12 +87,16 @@ def can_cut(model: Pots, q: str, budget: int, targets: Iterable[str]) -> bool:
 
 def obstruct_pred(model: Pots, budget: int, targets: Iterable[str]) -> frozenset[str]:
     """Predecessors of ``targets`` that can sever every escape into the
-    complement within the budget."""
+    complement within the budget: ``can_cut`` into the complement, read
+    off each predecessor's own row."""
     targets = frozenset(targets)
-    rest = frozenset(model.states) - targets
-    return frozenset(
-        q for q in pre_set(model, targets) if can_cut(model, q, budget, rest)
-    )
+    out = []
+    for q in pre_set(model, targets):
+        row = model.row(q)
+        escape = sum([c for r, c in zip(row.succ, row.costs) if r not in targets])
+        if escape <= budget:
+            out.append(q)
+    return frozenset(out)
 
 
 # -- budgeted removal ---------------------------------------------------------
@@ -108,7 +111,8 @@ class CostRangeError(ValueError):
 
 
 # rows with at most this many strict removal sets at a budget pick from a
-# cached list of them; longer lists go to the Pareto front
+# list of them, made once per model, state and budget in the state's plan;
+# longer lists go to the Pareto front
 _MAX_OPTIONS = 64
 # the most (cost, weight) pairs one front may be merged from
 _FRONT_CAP = 2**20
@@ -130,7 +134,6 @@ def _walk(
             yield from _walk(costs, budget, f + 1, picked + (f,), spent + costs[f])
 
 
-@functools.lru_cache(maxsize=4096)
 def _options(costs: tuple[int, ...], budget: int) -> tuple[tuple[int, ...], ...] | None:
     """The strict removal sets of a cost row within the budget, in
     lexicographic order, or None when there are more than
@@ -144,7 +147,8 @@ def _heaviest(
 ) -> tuple[int, tuple[int, ...]]:
     """The first option removing the largest weight, and that weight; in
     lexicographic order that is the smallest index set among the optima.
-    The empty set, first in any list, removes nothing."""
+    The scan starts at the empty set, which removes nothing and comes
+    before every option."""
     best_w, best = 0, ()
     get = weights.__getitem__
     for option in options:
@@ -226,6 +230,21 @@ def _pareto_heaviest(
         j = pick + 1
 
 
+def _plan(model: Pots, q: str, budget: int) -> tuple:
+    """What ``best_removal`` reads of the row of ``q`` at this budget. A lone
+    edge plans its successor and its float probability. Any other row plans
+    (successor, numerator, bit length of the power-of-two denominator) per
+    edge, its non-empty strict removal sets within the budget (None for the
+    Pareto front), and the row itself."""
+    row = model.row(q)
+    if len(row.costs) == 1:
+        ((pn, pd),) = row.ratios
+        return row.succ[0], pn / pd
+    edges = tuple([(r, pn, pd.bit_length()) for r, (pn, pd) in zip(row.succ, row.ratios)])
+    options = _options(row.costs, budget)
+    return edges, options if options is None else options[1:], row
+
+
 def best_removal(
     model: Pots,
     q: str,
@@ -243,34 +262,44 @@ def best_removal(
     dyadic rational, held as an integer over one power-of-two denominator
     shared by the row. The surviving value is rounded to a float once,
     correctly.
+
+    What does not depend on ``value`` (the successors, the probabilities'
+    integer ratios and the removal sets within the budget) is planned on
+    the first call for a state and budget and kept with the model.
     """
-    row = model.row(q)
-    costs = row.costs
-    if len(costs) == 1:
+    plans = model._plans
+    try:
+        plan = plans[q, budget]
+    except KeyError:
+        plan = plans[q, budget] = _plan(model, q, budget)
+    if len(plan) == 2:
         # strictness keeps a lone edge; the float product is the correctly
         # rounded exact product
-        ((pn, pd),) = row.ratios
-        return (), pn / pd * value[row.succ[0]]
+        r, p = plan
+        return (), p * value[r]
+    edges, options, row = plan
     # weight i is nums[i] / 2**(sizes[i] - 2), from pd * vd with both
     # factors powers of two; shifted onto the largest denominator, the
     # weights are integers
     nums = []
     sizes = []
-    for r, (pn, pd) in zip(row.succ, row.ratios):
+    top = 2
+    for r, pn, pbits in edges:
         vn, vd = value[r].as_integer_ratio()
         nums.append(pn * vn)
-        sizes.append(pd.bit_length() + vd.bit_length())
-    top = max(sizes, default=2)
+        size = pbits + vd.bit_length()
+        sizes.append(size)
+        if size > top:
+            top = size
     weights = [n << (top - s) for n, s in zip(nums, sizes)]
     total = sum(weights)
-    options = _options(costs, budget)
-    if options == ((),):
+    if options is None:
+        removed_w, chosen = _pareto_heaviest(weights, row.costs, budget)
+    elif options:
+        removed_w, chosen = _heaviest(weights, options)
+    else:
         # no edge fits the budget: the empty removal is the only option
         return (), total / (1 << (top - 2))
-    if options is None:
-        removed_w, chosen = _pareto_heaviest(weights, costs, budget)
-    else:
-        removed_w, chosen = _heaviest(weights, options)
     survived = (total - removed_w) / (1 << (top - 2))
     if not chosen:
         return (), survived

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from potl.engine import (
     Stats,
 )
 from potl.generate import corpus, random_pots, scaling_model
-from potl.model import Pots, load_model
+from potl.model import Pots, dumps_model, load_model, loads_model
 from potl.obstruction import MemorylessStrategy, validate_strategy
 from potl.oracle import exact_prob, oracle_optimum, oracle_sat
 from potl.syntax import (
@@ -601,6 +603,48 @@ class TestSweepPlanIsExact:
             engine, "_frame", lambda *args: frame(*args)._replace(succ=None)
         )
         assert [planned_answers(m, solver) for m in models] == with_plan
+
+
+class TestSharedModel:
+    FORMULAS = [
+        "<<2 < 0.5>> a U b",
+        "<<1 <= 0.9>> a R b",
+        "<<0 >= 0.2>> X b",
+        "<<2 < 0.4>> a U<=12 b",
+        "<<4 > 0.1>> a R<=9 b",
+        "<<1 < 0.3>> true U<=6 (a & <<2 < 0.5>> X b)",
+    ]
+
+    def test_concurrent_checks_equal_a_sequential_run(self):
+        # the optimizer's plans fill in as the threads run, unlocked
+        text = dumps_model(scaling_model(200))
+        formulas = [parse(f) for f in self.FORMULAS]
+        sequential = loads_model(text)
+        expected = [check(sequential, phi) for phi in formulas]
+        shared = loads_model(text)
+        start = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def run(i):
+            start.wait()
+            # each thread starts at another formula, so plans for one
+            # budget are made while others are read
+            order = [*range(i, len(formulas)), *range(i)]
+            results[i] = {k: check(shared, formulas[k]) for k in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [dict(enumerate(expected))] * 4
+        assert shared._plans == sequential._plans
 
 
 class TestFixedAndSynthesis:

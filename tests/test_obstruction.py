@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import potl.obstruction
 from potl.generate import random_pots
-from potl.model import Pots, edges_of
+from potl.engine import check
+from potl.model import Pots, edges_of, loads_model, prune
 from potl.obstruction import (
     CostRangeError,
     MemorylessStrategy,
@@ -26,6 +27,7 @@ from potl.obstruction import (
     validate_strategy,
 )
 from potl.oracle import removal_options
+from potl.syntax import parse
 
 
 def star(costs_values):
@@ -420,6 +422,40 @@ class TestBestRemoval:
             r"\(a front of up to 2097151 pairs, degree 22\)$",
         ):
             best_removal(m, "hub", 2**22, values)
+
+    def test_one_model_answers_every_budget(self):
+        # a plan holds the removal sets of one budget: calls that move
+        # between budgets on one model must not answer from another's
+        m, _ = star([(1, 1.0, 3), (2, 1.0, 1), (3, 1.0, 4), (1, 1.0, 1), (4, 1.0, 5)])
+        rng = random.Random(24)
+        for budget in [1, 4, 1, 0, 4, 10, 2, 7, 0, 3, 10, 5, 1, 6, 8, 9, 2, 5]:
+            values = {q: rng.random() for q in m.states}
+            removal, surviving = best_removal(m, "hub", budget, values)
+            want_removal, want_surviving = enumerate_best(m, "hub", budget, values)
+            assert removal == want_removal
+            assert surviving == float(want_surviving)
+        assert len(m._plans) == 11
+
+    def test_answering_leaves_equality_and_repr_alone(self, attack_graph_path):
+        with open(attack_graph_path, encoding="utf-8") as handle:
+            text = handle.read()
+        used, fresh = loads_model(text), loads_model(text)
+        before = repr(used)
+        check(used, parse("<<4 < 0.1>> F (r2 | r3)"))
+        assert used._plans
+        assert used == fresh
+        assert repr(used) == before == repr(fresh)
+
+    def test_pruned_model_starts_without_plans(self):
+        m, values = star([(1, 0.2, 1), (1, 0.9, 2), (2, 0.5, 3)])
+        best_removal(m, "hub", 2, values)
+        assert m._plans
+        pruned = prune(m, [("hub", "t1")])
+        assert pruned._plans == {}
+        removal, surviving = best_removal(pruned, "hub", 2, values)
+        want_removal, want_surviving = enumerate_best(pruned, "hub", 2, values)
+        assert removal == want_removal == (("hub", "t2"),)
+        assert surviving == float(want_surviving)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**9))
