@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each command computes one result and builds one payload, a dict of JSON
+values, from it. ``--json`` prints the payload; the text form is rendered
+from the payload's values, so both report the same sets, values and
+strategies, and nothing is formatted twice.
+
 Exit codes: 0 success (and, for check, initial state satisfied); 1 check
 ran but the initial state does not satisfy; 2 usage or formula errors,
 including a negative grade, an enumeration limit below 1, an epsilon that
@@ -7,9 +12,11 @@ is not finite and positive, a maximum iteration count below 1, a state
 whose removal optimizer front outgrows its cap, a formula or strategy
 file that cannot be read or is not UTF-8, a strategy file that cannot be
 written, a formula number of more digits than Python converts to an int,
-and input nested deeper than Python's recursion limit; 3 invalid model,
-or one that cannot be read or is not UTF-8; 4 no convergence, or a step
-bound above the maximum iteration count; 5 oracle enumeration too large.
+input nested deeper than Python's recursion limit, and ``oracle
+--formula`` with ``--grade``, ``--mode`` or ``--strategy``; 3 invalid
+model, or one that cannot be read or is not UTF-8; 4 no convergence, or a
+step bound above the maximum iteration count; 5 oracle enumeration too
+large.
 
 ``main`` owns the exit-code table: the commands raise, and ``main`` maps
 ``_CliError`` to its code and the engine's, oracle's and optimizer's
@@ -23,6 +30,7 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 from . import engine, oracle
 from .engine import ConvergenceError, EngineOptions
@@ -32,7 +40,7 @@ from .obstruction import (
     MemorylessStrategy,
     load_strategy,
     save_strategy,
-    strategy_to_json,
+    strategy_doc,
     validate_strategy,
 )
 from .syntax import (
@@ -61,36 +69,35 @@ class _CliError(Exception):
         self.code = code
 
 
-def _float_text(v: float) -> str:
-    if v == int(v):
-        return str(int(v))
-    return repr(v)
+def _float_texts(values: dict[str, float]) -> dict[str, str]:
+    """Each state's value, in state order; integral ones print as ints."""
+    return {q: str(int(v)) if v == int(v) else repr(v) for q, v in sorted(values.items())}
 
 
-def _rational_text(v: Fraction) -> str:
-    # str() refuses ints past the interpreter's digit limit (4,300 by
-    # default); an integral Decimal converts exactly and prints every digit
-    return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
+def _report_text(heading: str, report: list[str]) -> str:
+    return heading + "".join(f"\n  - {line}" for line in report)
 
 
-def _load_model(path: str) -> Pots:
+def _load(load, path: str, what: str, code: int, check=lambda loaded: []):
+    """Read a model or strategy file; ``check`` reports what makes it invalid."""
     try:
-        return load_model(path)
+        loaded = load(path)
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(f"cannot read model: {exc}", EXIT_BAD_MODEL)
+        raise _CliError(f"cannot read {what}: {exc}", code)
     except ModelError as exc:
-        raise _CliError(f"invalid model: {exc}", EXIT_BAD_MODEL)
+        raise _CliError(f"invalid {what}: {exc}", code)
+    report = check(loaded)
+    if report:
+        raise _CliError(_report_text(f"invalid {what}:", report), code)
+    return loaded
 
 
 def _load_valid_model(path: str) -> Pots:
-    model = _load_model(path)
-    report = validate(model)
-    if report:
-        raise _CliError(
-            "invalid model:\n" + "\n".join(f"  - {line}" for line in report),
-            EXIT_BAD_MODEL,
-        )
-    return model
+    return _load(load_model, path, "model", EXIT_BAD_MODEL, validate)
+
+
+def _load_strategy_for(model: Pots, path: str) -> MemorylessStrategy:
+    return _load(load_strategy, path, "strategy", EXIT_USAGE, partial(validate_strategy, model))
 
 
 def _read_formula(args) -> StateFormula:
@@ -126,54 +133,63 @@ def _engine_options(args) -> EngineOptions:
         raise _CliError(f"bad engine option: {exc}", EXIT_USAGE)
 
 
-def _result_payload(result: engine.CheckResult) -> dict:
-    return {
-        "formula": result.formula,
-        "sat": sorted(result.sat),
-        "probabilities": None
-        if result.values is None
-        else {q: _float_text(v) for q, v in sorted(result.values.items())},
-        "mode": result.mode,
-        "grade": result.grade,
-        "iterations": result.iterations,
-        "warnings": result.warnings,
-    }
-
-
-def _emit(args, payload: dict, human_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 # -- subcommands ------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
-    model = _load_valid_model(args.model)
-    phi = _read_formula(args)
-    opts = _engine_options(args)
-    result = engine.check(model, phi, opts)
-    satisfied = model.initial in result.sat
-    lines = [
-        f"formula:   {result.formula}",
-        f"sat:       {{{', '.join(sorted(result.sat))}}}",
-        f"initial:   {model.initial} {'satisfies' if satisfied else 'does not satisfy'}",
+def _engine_payload(formula, sat, values, mode, grade, iterations, warnings) -> dict:
+    """The payload of check, from its ``CheckResult``'s fields, and of prob,
+    whose ``sat`` is always empty."""
+    return {
+        "formula": formula,
+        "sat": sorted(sat),
+        "probabilities": None if values is None else _float_texts(values),
+        "mode": mode,
+        "grade": grade,
+        "iterations": iterations,
+        "warnings": warnings,
+    }
+
+
+def _exact_payload(mode: str, grade: int, values: dict[str, Fraction]) -> dict:
+    """The oracle's mode, grade and exact values, as a payload's keys."""
+    # str() refuses ints past the interpreter's digit limit (4,300 by
+    # default); an integral Decimal converts exactly and prints every digit
+    texts = {q: f"{Decimal(v.numerator)}/{Decimal(v.denominator)}" for q, v in values.items()}
+    return {"mode": mode, "grade": grade, "values": dict(sorted(texts.items()))}
+
+
+def _set_text(states: list[str]) -> str:
+    return "{" + ", ".join(states) + "}"
+
+
+def _verdict_lines(payload: dict, initial: str) -> list[str]:
+    verdict = "satisfies" if initial in payload["sat"] else "does not satisfy"
+    return [
+        f"formula:   {payload['formula']}",
+        f"sat:       {_set_text(payload['sat'])}",
+        f"initial:   {initial} {verdict}",
     ]
-    if result.values is not None:
-        rendered = ", ".join(
-            f"{q}={_float_text(v)}" for q, v in sorted(result.values.items())
-        )
-        lines.append(f"prob[{result.mode}, grade {result.grade}]: {rendered}")
-    for warning in result.warnings:
-        lines.append(f"warning:   {warning}")
-    _emit(args, _result_payload(result), lines)
-    return 0 if satisfied else EXIT_UNSAT
 
 
-def _cmd_prob(args) -> int:
+def _value_lines(payload: dict, key: str, *middle: str) -> list[str]:
+    """The path formula, any ``middle`` lines, then each state's value."""
+    values = [f"{q}: {t}" for q, t in payload[key].items()]
+    return [f"path:      {payload['formula']}", *middle, *values]
+
+
+def _cmd_check(args) -> tuple[int, dict, list[str]]:
+    model = _load_valid_model(args.model)
+    result = engine.check(model, _read_formula(args), _engine_options(args))
+    payload = _engine_payload(**vars(result))
+    lines = _verdict_lines(payload, model.initial)
+    if payload["probabilities"] is not None:
+        rendered = ", ".join(f"{q}={t}" for q, t in payload["probabilities"].items())
+        lines.append(f"prob[{payload['mode']}, grade {payload['grade']}]: {rendered}")
+    lines += [f"warning:   {warning}" for warning in payload["warnings"]]
+    return 0 if model.initial in result.sat else EXIT_UNSAT, payload, lines
+
+
+def _cmd_prob(args) -> tuple[int, dict, list[str]]:
     model = _load_valid_model(args.model)
     theta = _read_path(args)
     opts = _engine_options(args)
@@ -190,40 +206,15 @@ def _cmd_prob(args) -> int:
         if args.state not in model.states:
             raise _CliError(f"unknown state {args.state!r}", EXIT_USAGE)
         values = {args.state: values[args.state]}
-    result = engine.CheckResult(
-        formula=print_path(theta),
-        sat=frozenset(),
-        values=values,
-        mode=mode,
-        grade=grade,
-        iterations=stats.iterations,
-        warnings=stats.warnings,
+    payload = _engine_payload(
+        print_path(theta), (), values, mode, grade, stats.iterations, stats.warnings
     )
-    lines = [f"path:      {result.formula}"]
-    lines += [f"{q}: {_float_text(v)}" for q, v in sorted(values.items())]
-    for warning in result.warnings:
-        lines.append(f"warning:   {warning}")
-    _emit(args, _result_payload(result), lines)
-    return 0
+    lines = _value_lines(payload, "probabilities")
+    lines += [f"warning:   {warning}" for warning in payload["warnings"]]
+    return 0, payload, lines
 
 
-def _load_strategy_for(model: Pots, path: str) -> MemorylessStrategy:
-    try:
-        strategy = load_strategy(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(f"cannot read strategy: {exc}", EXIT_USAGE)
-    except ModelError as exc:
-        raise _CliError(f"invalid strategy: {exc}", EXIT_USAGE)
-    report = validate_strategy(model, strategy)
-    if report:
-        raise _CliError(
-            "invalid strategy:\n" + "\n".join(f"  - {line}" for line in report),
-            EXIT_USAGE,
-        )
-    return strategy
-
-
-def _cmd_synthesize(args) -> int:
+def _cmd_synthesize(args) -> tuple[int, dict, list[str]]:
     model = _load_valid_model(args.model)
     theta = _read_path(args)
     opts = _engine_options(args)
@@ -239,50 +230,40 @@ def _cmd_synthesize(args) -> int:
         "formula": print_path(theta),
         "grade": args.grade,
         "mode": "min",
-        "strategy": json.loads(strategy_to_json(strategy)),
-        "probabilities": {q: _float_text(v) for q, v in sorted(values.items())},
+        "strategy": strategy_doc(strategy),
+        "probabilities": _float_texts(values),
         "iterations": stats.iterations,
         "warnings": stats.warnings,
     }
-    lines = [
-        f"path:      {print_path(theta)}",
-        f"strategy:  {strategy_to_json(strategy)}",
-    ]
-    lines += [f"{q}: {_float_text(v)}" for q, v in sorted(values.items())]
+    shown = f"strategy:  {json.dumps(payload['strategy'], indent=2)}"
+    lines = _value_lines(payload, "probabilities", shown)
     if args.output is not None:
         lines.append(f"written:   {args.output}")
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_validate(args) -> int:
-    model = _load_model(args.model)
-    report = validate(model)
+def _cmd_validate(args) -> tuple[int, dict, list[str]]:
+    report = validate(_load(load_model, args.model, "model", EXIT_BAD_MODEL))
     payload = {"model": args.model, "violations": report}
-    lines = (
-        [f"model {args.model} is valid"]
-        if not report
-        else [f"model {args.model} is invalid:"] + [f"  - {line}" for line in report]
-    )
-    _emit(args, payload, lines)
-    return 0 if not report else EXIT_BAD_MODEL
+    heading = f"model {args.model} is {'invalid:' if report else 'valid'}"
+    return EXIT_BAD_MODEL if report else 0, payload, [_report_text(heading, report)]
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
+    path_flags = ("grade", "mode", "strategy")
+    passed = [f"--{name}" for name in path_flags if vars(args)[name] is not None]
+    if args.formula is not None and passed:
+        raise _CliError(f"only --path takes {' and '.join(passed)}, not --formula", EXIT_USAGE)
     model = _load_valid_model(args.model)
+    limit, cap = args.limit, args.max_iterations
     if args.formula is not None:
         phi = _read_formula(args)
-        query = {}
         if isinstance(phi, ObstructQuery):
-            values = oracle.oracle_query_values(model, phi, args.limit, args.max_iterations)
+            values = oracle.oracle_query_values(model, phi, limit, cap)
             satisfied = frozenset(q for q, v in values.items() if phi.holds(v))
-            query = {
-                "mode": phi.mode,
-                "grade": phi.grade,
-                "values": {q: _rational_text(v) for q, v in sorted(values.items())},
-            }
+            query = _exact_payload(phi.mode, phi.grade, values)
         else:
-            satisfied = oracle.oracle_sat(model, phi, args.limit, args.max_iterations)
+            satisfied, query = oracle.oracle_sat(model, phi, limit, cap), {}
         payload = {
             "formula": print_state(phi),
             "sat": sorted(satisfied),
@@ -290,43 +271,32 @@ def _cmd_oracle(args) -> int:
             "satisfied": model.initial in satisfied,
             **query,
         }
-        lines = [
-            f"formula:   {payload['formula']}",
-            f"sat:       {{{', '.join(payload['sat'])}}}",
-            f"initial:   {model.initial} "
-            f"{'satisfies' if payload['satisfied'] else 'does not satisfy'}",
-        ]
+        lines = _verdict_lines(payload, model.initial)
         lines += [f"{q}: {t}" for q, t in query.get("values", {}).items()]
-        _emit(args, payload, lines)
-        return 0
+        return 0, payload, lines
     theta = _read_path(args)
-    cap = args.max_iterations
-    sat1, sat2 = oracle.operand_sets(model, theta, args.limit, cap)
-    mode, grade, witnesses = args.mode, args.grade, {}
+    sat1, sat2 = oracle.operand_sets(model, theta, limit, cap)
+    mode, grade, witnesses = args.mode or "min", args.grade or 0, {}
     if args.strategy is not None:
         strategy = _load_strategy_for(model, args.strategy)
         mode, grade = "fixed", strategy.grade
         values = oracle.exact_prob(model, strategy, theta, sat1, sat2, cap)
     else:
-        result = oracle.path_optimum(model, theta, sat1, sat2, grade, mode, args.limit, cap)
+        result = oracle.path_optimum(model, theta, sat1, sat2, grade, mode, limit, cap)
         values, witnesses = result.values, result.witnesses
-    payload = {
-        "formula": print_path(theta),
-        "mode": mode,
-        "grade": grade,
-        "values": {q: _rational_text(v) for q, v in sorted(values.items())},
-    }
+    payload = {"formula": print_path(theta), **_exact_payload(mode, grade, values)}
     if witnesses:
         payload["witnesses"] = {
-            q: json.loads(strategy_to_json(w))["removal"] for q, w in sorted(witnesses.items())
+            q: strategy_doc(w)["removal"] for q, w in sorted(witnesses.items())
         }
-    lines = [f"path:      {payload['formula']}"]
-    lines += [f"{q}: {t}" for q, t in payload["values"].items()]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, _value_lines(payload, "values")
 
 
-def _cmd_conformance(args) -> int:
+def _diff(search: frozenset[str], exact: frozenset[str]) -> dict:
+    return {"search_only": sorted(search - exact), "oracle_only": sorted(exact - search)}
+
+
+def _cmd_conformance(args) -> tuple[int, dict, list[str]]:
     model = _load_valid_model(args.model)
     theta = _read_path(args)
     if not isinstance(theta, (Until, Release)):
@@ -351,26 +321,19 @@ def _cmd_conformance(args) -> int:
         "backward_search_one": sorted(algo_one),
         "oracle_zero": sorted(oracle_zero),
         "oracle_one": sorted(oracle_one),
-        "zero_diff": {
-            "search_only": sorted(algo_zero - oracle_zero),
-            "oracle_only": sorted(oracle_zero - algo_zero),
-        },
-        "one_diff": {
-            "search_only": sorted(algo_one - oracle_one),
-            "oracle_only": sorted(oracle_one - algo_one),
-        },
+        "zero_diff": _diff(algo_zero, oracle_zero),
+        "one_diff": _diff(algo_one, oracle_one),
     }
     agrees = algo_zero == oracle_zero and algo_one == oracle_one
     lines = [
-        f"path:           {payload['formula']} (grade {args.grade}, min mode)",
-        f"search zero:    {{{', '.join(payload['backward_search_zero'])}}}",
-        f"oracle zero:    {{{', '.join(payload['oracle_zero'])}}}",
-        f"search one:     {{{', '.join(payload['backward_search_one'])}}}",
-        f"oracle one:     {{{', '.join(payload['oracle_one'])}}}",
+        f"path:           {payload['formula']} (grade {payload['grade']}, min mode)",
+        f"search zero:    {_set_text(payload['backward_search_zero'])}",
+        f"oracle zero:    {_set_text(payload['oracle_zero'])}",
+        f"search one:     {_set_text(payload['backward_search_one'])}",
+        f"oracle one:     {_set_text(payload['oracle_one'])}",
         "agreement:      exact" if agrees else "agreement:      DIFFERS (informational)",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -425,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--formula")
     group.add_argument("--formula-file")
     _add_engine_flags(check)
-    check.add_argument("--json", action="store_true")
 
     prob = command("prob", _cmd_prob, "per-state path probabilities")
     prob.add_argument("--path", required=True)
@@ -434,34 +396,33 @@ def build_parser() -> argparse.ArgumentParser:
     prob.add_argument("--state")
     prob.add_argument("--strategy", help="evaluate this fixed strategy instead")
     _add_engine_flags(prob)
-    prob.add_argument("--json", action="store_true")
 
     synth = command("synthesize", _cmd_synthesize, "extract a witness strategy")
     synth.add_argument("--path", required=True)
     synth.add_argument("--grade", type=non_negative_int, required=True)
     synth.add_argument("--output", "-o")
     _add_engine_flags(synth)
-    synth.add_argument("--json", action="store_true")
 
-    val = command("validate", _cmd_validate, "check model well-formedness")
-    val.add_argument("--json", action="store_true")
+    command("validate", _cmd_validate, "check model well-formedness")
 
     orc = command("oracle", _cmd_oracle, "exact rational ground truth")
     group = orc.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--path")
-    orc.add_argument("--grade", type=non_negative_int, default=0)
-    orc.add_argument("--mode", choices=["min", "max"], default="min")
+    # None unless given, so that --formula can refuse them
+    orc.add_argument("--grade", type=non_negative_int)
+    orc.add_argument("--mode", choices=["min", "max"])
     orc.add_argument("--strategy")
     _add_oracle_flags(orc)
-    orc.add_argument("--json", action="store_true")
 
     conf = command("conformance", _cmd_conformance, "backward-search transcriptions vs oracle sets")
     conf.add_argument("--path", required=True)
     conf.add_argument("--grade", type=non_negative_int, required=True)
     _add_oracle_flags(conf)
-    conf.add_argument("--json", action="store_true")
 
+    # last, so that it ends every usage line
+    for sub in subparsers.choices.values():
+        sub.add_argument("--json", action="store_true")
     return parser
 
 
@@ -477,7 +438,10 @@ _EXIT_CODES = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        # every command's text has at least one line
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        return code
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

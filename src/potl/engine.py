@@ -580,6 +580,7 @@ def _decide_query(
     values = _dispatch_path(model, phi.body, sat1, sat2, phi.grade, phi.mode, opts, stats)
     threshold = float(phi.threshold)
     out = set()
+    near = []
     verdicts: dict[float, bool] = {}  # many states share a value
     for q, v in values.items():
         holds = verdicts.get(v)
@@ -588,11 +589,13 @@ def _decide_query(
         if holds:
             out.add(q)
         if abs(v - threshold) < 10 * opts.epsilon:
-            message = (
-                f"boundary: value {v!r} at {q} within 10*epsilon of "
-                f"threshold {phi.threshold} in {print_state(phi)}"
-            )
-            stats.warnings.append(message)
+            near.append((q, v))
+    if near:
+        # rendered once per query, not once per boundary state
+        where = f"threshold {phi.threshold} in {print_state(phi)}"
+        stats.warnings += [
+            f"boundary: value {v!r} at {q} within 10*epsilon of {where}" for q, v in near
+        ]
     return values, frozenset(out)
 
 

@@ -309,8 +309,10 @@ def best_removal(
 # -- strategy file format -----------------------------------------------------
 
 
-def strategy_to_json(strategy: MemorylessStrategy) -> str:
-    doc = {
+def strategy_doc(strategy: MemorylessStrategy) -> dict:
+    """The strategy file's document: the grade, and each state's non-empty
+    removal as sorted ``[from, to]`` pairs, states in sorted order."""
+    return {
         "grade": strategy.grade,
         "removal": {
             q: sorted([list(e) for e in edges])
@@ -318,7 +320,10 @@ def strategy_to_json(strategy: MemorylessStrategy) -> str:
             if edges
         },
     }
-    return json.dumps(doc, indent=2)
+
+
+def strategy_to_json(strategy: MemorylessStrategy) -> str:
+    return json.dumps(strategy_doc(strategy), indent=2)
 
 
 def strategy_from_json(text: str) -> MemorylessStrategy:

@@ -17,7 +17,8 @@ from potl.model import dumps_model, load_model
 from potl.obstruction import load_strategy, validate_strategy
 from potl.syntax import parse_path_formula
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run(capsys, *argv):
@@ -341,7 +342,7 @@ class TestEnumerationLimit:
         [
             ("--formula", "<<0 < 0.5>> X goal"),
             ("--formula", "<<0 < 0.5>> F<=2 goal"),
-            ("--path", "X goal"),
+            ("--path", "X goal", "--grade", "0"),
         ],
         ids=["next", "bounded", "next-path"],
     )
@@ -355,7 +356,7 @@ class TestEnumerationLimit:
             {"states": ["h", *targets], "initial": "h",
              "labels": {"t0": ["goal"]}, "edges": edges}
         ))
-        argv = ("oracle", "--model", str(model), *query, "--grade", "0")
+        argv = ("oracle", "--model", str(model), *query)
         code, out, err = run(capsys, *argv, "--limit", "1000")
         assert (code, out) == (5, "")
         assert err == "1023 removal options at h exceed the enumeration limit of 1000\n"
@@ -548,6 +549,32 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--model", chain_path, "--formula", "")
         assert code == 2
         assert "formula error" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--grade", "5"),
+            ("--grade", "0"),
+            ("--mode", "max"),
+            ("--mode", "min"),
+            ("--strategy", "STRATEGY"),
+            ("--mode", "max", "--grade", "1"),
+        ],
+    )
+    def test_formula_refuses_the_path_flags(self, capsys, attack_graph_path, tmp_path, flags):
+        # the query names its own grade and mode; a strategy file, here one
+        # that names an unknown state, was never read
+        strategy = tmp_path / "s.json"
+        strategy.write_text('{"grade": 1, "removal": {"nope": []}}')
+        flags = [str(strategy) if flag == "STRATEGY" else flag for flag in flags]
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(
+                capsys, "oracle", "--model", attack_graph_path,
+                "--formula", "<<5 < 0.2>> F r3", *flags, *json_flag,
+            )
+            assert (code, out) == (2, "")
+            named = " and ".join(f for f in ("--grade", "--mode", "--strategy") if f in flags)
+            assert err == f"only --path takes {named}, not --formula\n"
 
     def test_path_optimum_with_witnesses(self, capsys, chain_path):
         code, payload, _ = run_json(
@@ -831,3 +858,197 @@ class TestVerdictGapScript:
             os.close(write)
         assert done.stderr == b""
         assert done.returncode == 141
+
+
+class TestTextMatchesJson:
+    """Each command's text names the sets, per-state values and strategy of
+    its --json payload, with the same exit code and stderr."""
+
+    @staticmethod
+    def both(capsys, *argv):
+        """Exit code, text lines as (label, value) pairs, and payload."""
+        code, text, err = run(capsys, *argv)
+        json_code, payload, json_err = run_json(capsys, *argv)
+        assert (code, err) == (json_code, json_err)
+        fields = [line.partition(":")[::2] for line in text.splitlines()]
+        return code, [(label, value.strip()) for label, value in fields], payload
+
+    @staticmethod
+    def states(text):
+        assert text[0] + text[-1] == "{}"
+        return [q for q in text[1:-1].split(", ") if q]
+
+    @staticmethod
+    def warnings(fields):
+        """The warning lines' texts, and the other lines."""
+        warnings = [value for label, value in fields if label == "warning"]
+        return warnings, [field for field in fields if field[0] != "warning"]
+
+    @pytest.mark.parametrize(
+        "model, formula",
+        [
+            ("attack-graph", "<<4 < 0.1>> F (r2 | r3)"),
+            ("attack-graph", "<<5 < 0.2>> F r3"),
+            ("attack-graph", "<<1 <= 0.9>> G (!r3 | <<4 < 0.1>> F r2)"),
+            ("attack-graph", "r2 | <<1 >= 0.5>> X (r2 | r3)"),
+            ("attack-graph", "<<0 > 0.5>> X r9"),
+            ("chain", "<<1 < 0.5>> F goal"),
+            ("chain", "<<0 >= 1>> F goal"),
+        ],
+    )
+    def test_check(self, capsys, model, formula):
+        # the wide epsilon puts some values on a boundary, so warnings show
+        code, fields, payload = self.both(
+            capsys, "check", "--model", str(ROOT / f"models/{model}.json"),
+            "--formula", formula, "--epsilon", "0.001",
+        )
+        warnings, fields = self.warnings(fields)
+        assert warnings == payload["warnings"]
+        assert fields[0] == ("formula", payload["formula"])
+        assert fields[1][0] == "sat" and self.states(fields[1][1]) == payload["sat"]
+        initial, verdict = fields[2][1].split(None, 1)
+        assert verdict == ("satisfies" if initial in payload["sat"] else "does not satisfy")
+        assert code == (0 if initial in payload["sat"] else 1)
+        if payload["probabilities"] is None:
+            assert len(fields) == 3
+        else:
+            (label, value), = fields[3:]
+            assert label == f"prob[{payload['mode']}, grade {payload['grade']}]"
+            pairs = dict(pair.split("=") for pair in value.split(", "))
+            assert pairs == payload["probabilities"]
+
+    @pytest.mark.parametrize(
+        "model, argv",
+        [
+            ("chain", ("--path", "F goal", "--grade", "1")),
+            ("attack-graph", ("--path", "true U<=4 r3", "--mode", "max")),
+            ("attack-graph", ("--path", "F r3", "--state", "S1")),
+            ("attack-graph", ("--path", "a U <<1 <= 0.5>> X r3", "--epsilon", "0.1")),
+            ("attack-graph", ("--path", "F r3", "--strategy", "STRATEGY")),
+        ],
+    )
+    def test_prob(self, capsys, tmp_path, model, argv):
+        strategy = tmp_path / "s.json"
+        strategy.write_text('{"grade": 4, "removal": {"S2": [["S2", "S3"]]}}')
+        argv = [str(strategy) if arg == "STRATEGY" else arg for arg in argv]
+        code, fields, payload = self.both(
+            capsys, "prob", "--model", str(ROOT / f"models/{model}.json"), *argv
+        )
+        assert code == 0
+        warnings, fields = self.warnings(fields)
+        assert warnings == payload["warnings"]
+        assert fields[0] == ("path", payload["formula"])
+        assert dict(fields[1:]) == payload["probabilities"]
+        assert payload["sat"] == []
+        if "--strategy" in argv:
+            assert (payload["mode"], payload["grade"]) == ("fixed", 4)
+
+    @pytest.mark.parametrize(
+        "model, path, grade",
+        [("chain", "F goal", "1"), ("attack-graph", "F r3", "5"), ("attack-graph", "G !r3", "3")],
+    )
+    def test_synthesize(self, capsys, tmp_path, model, path, grade):
+        output = tmp_path / "s.json"
+        argv = ["synthesize", "--model", str(ROOT / f"models/{model}.json"),
+                "--path", path, "--grade", grade, "--output", str(output)]
+        code, fields, payload = self.both(capsys, *argv)
+        assert code == 0
+        assert payload["strategy"] == json.loads(output.read_text())
+        # the strategy prints as its file does: indented JSON that a line
+        # "}" closes, after "strategy:"
+        _, text, _ = run(capsys, *argv)
+        lines = text.splitlines()
+        end = lines.index("}")
+        assert lines[1].startswith("strategy:  ")
+        block = "\n".join(lines[1:end + 1])
+        assert json.loads(block[len("strategy:"):]) == payload["strategy"]
+        assert fields[0] == ("path", payload["formula"])
+        assert dict(fields[end + 1:-1]) == payload["probabilities"]
+        assert fields[-1] == ("written", str(output))
+
+    def test_validate(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "states": ["s", "t"], "initial": "s", "labels": {},
+            "edges": [{"from": "s", "to": "t", "prob": "0.5", "cost": 1}],
+        }))
+        for model in ("models/attack-graph.json", "models/chain.json", bad):
+            model = str(ROOT / model)
+            code, text, _ = run(capsys, "validate", "--model", model)
+            json_code, payload, _ = run_json(capsys, "validate", "--model", model)
+            assert code == json_code == (3 if payload["violations"] else 0)
+            heading, *report = text.splitlines()
+            if payload["violations"]:
+                assert heading == f"model {model} is invalid:"
+                assert report == [f"  - {line}" for line in payload["violations"]]
+            else:
+                assert (heading, report) == (f"model {model} is valid", [])
+
+    @pytest.mark.parametrize(
+        "model, formula",
+        [
+            ("attack-graph", "<<5 < 0.2>> F r3"),
+            ("attack-graph", "<<4 < 0.1>> F (r2 | r3)"),
+            ("attack-graph", "r2 | <<1 >= 0.5>> X (r2 | r3)"),
+            ("chain", "<<1 <= 0>> F goal"),
+        ],
+    )
+    def test_oracle_formula(self, capsys, model, formula):
+        code, fields, payload = self.both(
+            capsys, "oracle", "--model", str(ROOT / f"models/{model}.json"),
+            "--formula", formula,
+        )
+        assert code == 0
+        assert fields[0] == ("formula", payload["formula"])
+        assert fields[1][0] == "sat" and self.states(fields[1][1]) == payload["sat"]
+        verdict = "satisfies" if payload["satisfied"] else "does not satisfy"
+        assert fields[2] == ("initial", f"{payload['initial']} {verdict}")
+        assert dict(fields[3:]) == payload.get("values", {})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--path", "F r3", "--grade", "5"),
+            ("--path", "X r2", "--grade", "1"),
+            ("--path", "r2 R !r3", "--mode", "max"),
+            ("--path", "true U<=3 r3", "--grade", "3"),
+            ("--path", "F r3", "--strategy", "STRATEGY"),
+        ],
+    )
+    def test_oracle_path(self, capsys, tmp_path, argv):
+        strategy = tmp_path / "s.json"
+        strategy.write_text('{"grade": 3, "removal": {"S2": [["S2", "S3"]]}}')
+        argv = [str(strategy) if arg == "STRATEGY" else arg for arg in argv]
+        code, fields, payload = self.both(
+            capsys, "oracle", "--model", str(ROOT / "models/attack-graph.json"), *argv
+        )
+        assert code == 0
+        assert fields[0] == ("path", payload["formula"])
+        assert dict(fields[1:]) == payload["values"]
+
+    @pytest.mark.parametrize(
+        "model, path, grade",
+        [
+            ("attack-graph", "true U r3", "4"),
+            ("chain", "false R goal", "1"),
+            ("chain", "true U goal", "0"),
+        ],
+    )
+    def test_conformance(self, capsys, model, path, grade):
+        code, fields, payload = self.both(
+            capsys, "conformance", "--model", str(ROOT / f"models/{model}.json"),
+            "--path", path, "--grade", grade,
+        )
+        assert code == 0
+        text = dict(fields)
+        assert text["path"] == f"{payload['formula']} (grade {payload['grade']}, min mode)"
+        for label, key in [
+            ("search zero", "backward_search_zero"),
+            ("oracle zero", "oracle_zero"),
+            ("search one", "backward_search_one"),
+            ("oracle one", "oracle_one"),
+        ]:
+            assert self.states(text[label]) == payload[key]
+        diffs = [payload[d][side] for d in ("zero_diff", "one_diff")
+                 for side in ("search_only", "oracle_only")]
+        assert text["agreement"] == ("DIFFERS (informational)" if any(diffs) else "exact")

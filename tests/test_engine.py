@@ -42,6 +42,7 @@ from potl.syntax import (
     Release,
     Until,
     parse,
+    print_state,
 )
 
 ALL_OPS = [
@@ -318,6 +319,25 @@ class TestSatLayer:
     def test_boundary_warning_emitted(self, chain):
         result = check(chain, parse("<<0 >= 1>> F goal"))
         assert any("boundary" in w for w in result.warnings)
+
+    def test_boundary_warnings_render_the_query_once(self, monkeypatch):
+        # G true is worth 1, up to rounding, at every state, so threshold 1
+        # puts all 200 states on the boundary; their warnings share one
+        # rendering
+        model = scaling_model(200)
+        phi = parse("<<0 >= 1>> G true")
+        rendered = []
+        monkeypatch.setattr(
+            engine, "print_state", lambda f: rendered.append(f) or print_state(f)
+        )
+        result = check(model, phi)
+        assert rendered == [phi, phi]  # the result's formula, then the warnings'
+        assert result.warnings == [
+            f"boundary: value {v!r} at {q} within 10*epsilon of threshold 1 in "
+            "<<0 >= 1>> false R true"
+            for q, v in result.values.items()
+        ]
+        assert len(result.warnings) == len(model.states) == 200
 
     def test_check_reports_query_metadata(self, chain):
         result = check(chain, parse("<<1 < 0.1>> F goal"))
