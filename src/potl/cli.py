@@ -177,6 +177,10 @@ def _value_lines(payload: dict, key: str, *middle: str) -> list[str]:
     return [f"path:      {payload['formula']}", *middle, *values]
 
 
+def _warning_lines(payload: dict) -> list[str]:
+    return [f"warning:   {warning}" for warning in payload["warnings"]]
+
+
 def _cmd_check(args) -> tuple[int, dict, list[str]]:
     model = _load_valid_model(args.model)
     result = engine.check(model, _read_formula(args), _engine_options(args))
@@ -185,7 +189,7 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
     if payload["probabilities"] is not None:
         rendered = ", ".join(f"{q}={t}" for q, t in payload["probabilities"].items())
         lines.append(f"prob[{payload['mode']}, grade {payload['grade']}]: {rendered}")
-    lines += [f"warning:   {warning}" for warning in payload["warnings"]]
+    lines += _warning_lines(payload)
     return 0 if model.initial in result.sat else EXIT_UNSAT, payload, lines
 
 
@@ -209,9 +213,7 @@ def _cmd_prob(args) -> tuple[int, dict, list[str]]:
     payload = _engine_payload(
         print_path(theta), (), values, mode, grade, stats.iterations, stats.warnings
     )
-    lines = _value_lines(payload, "probabilities")
-    lines += [f"warning:   {warning}" for warning in payload["warnings"]]
-    return 0, payload, lines
+    return 0, payload, _value_lines(payload, "probabilities") + _warning_lines(payload)
 
 
 def _cmd_synthesize(args) -> tuple[int, dict, list[str]]:
@@ -239,6 +241,7 @@ def _cmd_synthesize(args) -> tuple[int, dict, list[str]]:
     lines = _value_lines(payload, "probabilities", shown)
     if args.output is not None:
         lines.append(f"written:   {args.output}")
+    lines += _warning_lines(payload)
     return 0, payload, lines
 
 

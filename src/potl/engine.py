@@ -30,9 +30,11 @@ it (0.33 + 0.56 + 0.11 sums to 1.0000000000000002 from the left);
 unbounded release alone flushes values below ``NEG_CLAMP`` to 0.
 
 Every entry point is a pure function of (model, formula, options); models
-are immutable but for the removal optimizer's plans, which any query may
-add and every query would make alike, so concurrent queries against a
-shared model are safe.
+are immutable but for the removal optimizer's plans (per state and
+budget, the removal sets and a memo of answers to successor values all
+exactly 0 or 1, beside per-state edge data), which any query may add and
+every query would make alike, so concurrent queries against a shared
+model are safe and answer bit for bit as a fresh model does.
 """
 
 from __future__ import annotations

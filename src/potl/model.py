@@ -57,13 +57,16 @@ class Pots:
     an integer removal cost per edge.
 
     Instances are immutable after construction and safe to share between
-    concurrent queries. The one cache, the removal optimizer's per-state
-    plans, fills as queries run; a plan depends only on the model, the
-    state and the budget, so threads that make the same plan store equal
-    values, and no lock is needed. Construction rejects duplicate states
-    and edges or labels on undeclared states, so ``labels`` holds declared
-    states only; it does not enforce the semantic invariants
-    (stochasticity, seriality); see :func:`validate`.
+    concurrent queries. The one cache, the removal optimizer's, fills as
+    queries run: ``_terms`` holds per state what the optimizer reads of
+    each edge at any budget, and ``_plans`` per state and budget the
+    removal sets and a memo of answers to successor values all exactly 0
+    or 1. Each entry depends only on the model, the state, the budget and
+    the values it is keyed by, so threads that make the same entry store
+    equivalent values, and no lock is needed. Construction rejects
+    duplicate states and edges or labels on undeclared states, so
+    ``labels`` holds declared states only; it does not enforce the
+    semantic invariants (stochasticity, seriality); see :func:`validate`.
     """
 
     states: tuple[str, ...]
@@ -76,6 +79,7 @@ class Pots:
     _rows: dict = field(init=False, repr=False, compare=False)
     _pred: dict = field(init=False, repr=False, compare=False)
     _plans: dict = field(init=False, repr=False, compare=False)
+    _terms: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {q: i for i, q in enumerate(self.states)}
@@ -111,6 +115,7 @@ class Pots:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_pred", {q: tuple(v) for q, v in pred.items()})
         object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_terms", {})
 
     @classmethod
     def build(

@@ -11,6 +11,7 @@ import itertools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .model import Edge, ModelError, Pots, edges_of
@@ -233,16 +234,23 @@ def _pareto_heaviest(
 def _plan(model: Pots, q: str, budget: int) -> tuple:
     """What ``best_removal`` reads of the row of ``q`` at this budget. A lone
     edge plans its successor and its float probability. Any other row plans
-    (successor, numerator, bit length of the power-of-two denominator) per
-    edge, its non-empty strict removal sets within the budget (None for the
-    Pareto front), and the row itself."""
+    the row itself, its non-empty strict removal sets within the budget
+    (None for the Pareto front), and a memo, empty at first, of answers to
+    successor values that are all exactly 0 or 1. What such a row reads at
+    every budget, a getter of its successors' values and (successor,
+    numerator, bit length of the power-of-two denominator) per edge, is
+    made once per state, in ``Pots._terms``."""
     row = model.row(q)
     if len(row.costs) == 1:
         ((pn, pd),) = row.ratios
         return row.succ[0], pn / pd
-    edges = tuple([(r, pn, pd.bit_length()) for r, (pn, pd) in zip(row.succ, row.ratios)])
+    if q not in model._terms:
+        model._terms[q] = (
+            itemgetter(*row.succ),
+            tuple([(r, pn, pd.bit_length()) for r, (pn, pd) in zip(row.succ, row.ratios)]),
+        )
     options = _options(row.costs, budget)
-    return edges, options if options is None else options[1:], row
+    return row, options if options is None else options[1:], {}
 
 
 def best_removal(
@@ -263,9 +271,16 @@ def best_removal(
     shared by the row. The surviving value is rounded to a float once,
     correctly.
 
-    What does not depend on ``value`` (the successors, the probabilities'
-    integer ratios and the removal sets within the budget) is planned on
-    the first call for a state and budget and kept with the model.
+    What does not depend on ``value`` is planned on the first call and
+    kept with the model: the successors and the probabilities' integer
+    ratios once per state, the removal sets within the budget once per
+    state and budget (see ``_plan``). When every successor value of a row
+    of two or more edges is exactly 0 or 1 (pinned states, and states the
+    minimizer holds at 0 or 1), the answer depends only on which
+    successors hold 1, so the plan's memo keeps it, keyed by the tuple of
+    successor values (``-0.0`` keys and answers as 0): each such pattern
+    is computed once per plan. Other values are computed every time and
+    stored nowhere.
     """
     plans = model._plans
     try:
@@ -277,7 +292,12 @@ def best_removal(
         # rounded exact product
         r, p = plan
         return (), p * value[r]
-    edges, options, row = plan
+    row, options, known = plan
+    successors, edges = model._terms[q]
+    values = successors(value)
+    answer = known.get(values)
+    if answer is not None:
+        return answer
     # weight i is nums[i] / 2**(sizes[i] - 2), from pd * vd with both
     # factors powers of two; shifted onto the largest denominator, the
     # weights are integers
@@ -292,18 +312,18 @@ def best_removal(
         if size > top:
             top = size
     weights = [n << (top - s) for n, s in zip(nums, sizes)]
-    total = sum(weights)
     if options is None:
         removed_w, chosen = _pareto_heaviest(weights, row.costs, budget)
     elif options:
         removed_w, chosen = _heaviest(weights, options)
     else:
         # no edge fits the budget: the empty removal is the only option
-        return (), total / (1 << (top - 2))
-    survived = (total - removed_w) / (1 << (top - 2))
-    if not chosen:
-        return (), survived
-    return tuple([row.edges[i] for i in chosen]), survived
+        removed_w, chosen = 0, ()
+    survived = (sum(weights) - removed_w) / (1 << (top - 2))
+    answer = (tuple([row.edges[i] for i in chosen]) if chosen else (), survived)
+    if values.count(0.0) + values.count(1.0) == len(values):
+        known[values] = answer
+    return answer
 
 
 # -- strategy file format -----------------------------------------------------

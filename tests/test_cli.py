@@ -944,15 +944,26 @@ class TestTextMatchesJson:
             assert (payload["mode"], payload["grade"]) == ("fixed", 4)
 
     @pytest.mark.parametrize(
-        "model, path, grade",
-        [("chain", "F goal", "1"), ("attack-graph", "F r3", "5"), ("attack-graph", "G !r3", "3")],
+        "model, path, grade, epsilon",
+        [
+            ("chain", "F goal", "1", "1e-10"),
+            ("attack-graph", "F r3", "5", "1e-10"),
+            ("attack-graph", "G !r3", "3", "1e-10"),
+            # every value of the inner query within 10 * epsilon of 1/2
+            ("attack-graph", "true U <<1 <= 0.5>> X r3", "5", "1"),
+        ],
     )
-    def test_synthesize(self, capsys, tmp_path, model, path, grade):
+    def test_synthesize(self, capsys, tmp_path, model, path, grade, epsilon):
         output = tmp_path / "s.json"
         argv = ["synthesize", "--model", str(ROOT / f"models/{model}.json"),
-                "--path", path, "--grade", grade, "--output", str(output)]
+                "--path", path, "--grade", grade, "--epsilon", epsilon, "--output", str(output)]
         code, fields, payload = self.both(capsys, *argv)
         assert code == 0
+        warnings, rest = self.warnings(fields)
+        assert warnings == payload["warnings"]
+        # the warnings come last
+        assert fields[len(rest):] == [("warning", warning) for warning in warnings]
+        fields = rest
         assert payload["strategy"] == json.loads(output.read_text())
         # the strategy prints as its file does: indented JSON that a line
         # "}" closes, after "strategy:"

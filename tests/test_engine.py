@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import potl.obstruction
 from potl import engine
 from potl.engine import (
     ConvergenceError,
@@ -623,6 +624,52 @@ class TestSweepPlanIsExact:
             engine, "_frame", lambda *args: frame(*args)._replace(succ=None)
         )
         assert [planned_answers(m, solver) for m in models] == with_plan
+
+
+class TestQualitativeMemo:
+    @pytest.mark.parametrize("solver", ["vi", "pi"])
+    def test_answers_again_as_a_fresh_model_and_without_the_memo(self, monkeypatch, solver):
+        # the second pass reads answers the first stored for successor
+        # values all 0 or 1; a third model runs with a memo that stores nothing
+        text = dumps_model(scaling_model(200))
+        formulas = [parse(f"<<{g} < 0.5>> {p}") for g in (0, 1, 2, 4) for p in ("a U b", "a R b")]
+
+        def answers(model):
+            checks = [check(model, phi, EngineOptions(solver=solver)) for phi in formulas]
+            verdicts = [(r.sat, {q: v.hex() for q, v in r.values.items()}) for r in checks]
+            return planned_answers(model, solver), verdicts
+
+        used = loads_model(text)
+        first = answers(used)
+        stored = sum(len(plan[-1]) for plan in used._plans.values() if len(plan) == 3)
+        assert stored > 100
+        heaviest = potl.obstruction._heaviest
+        scans = []
+
+        def counted(*args):
+            scans.append(args)
+            return heaviest(*args)
+
+        monkeypatch.setattr(potl.obstruction, "_heaviest", counted)
+        again = answers(used)
+        rescans = len(scans)
+        fresh = answers(loads_model(text))
+        assert rescans < len(scans) - rescans
+
+        class Forgetful(dict):
+            def __setitem__(self, key, answer):
+                pass
+
+        plan = potl.obstruction._plan
+
+        def forgetful_plan(*args):
+            made = plan(*args)
+            return made if len(made) == 2 else (*made[:-1], Forgetful())
+
+        monkeypatch.setattr(potl.obstruction, "_plan", forgetful_plan)
+        unmemoized = loads_model(text)
+        assert answers(unmemoized) == first == again == fresh
+        assert all(not p[-1] for p in unmemoized._plans.values() if len(p) == 3)
 
 
 class TestSharedModel:

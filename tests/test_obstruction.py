@@ -208,25 +208,32 @@ class TestBestRemoval:
         assert removal == ()
         assert surviving == pytest.approx(1.0)
 
-    @settings(max_examples=120, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_matches_exhaustive_enumeration(self, seed):
+    @settings(max_examples=160, deadline=None)
+    @given(seed=st.integers(0, 10**9), zero_one=st.booleans())
+    def test_matches_exhaustive_enumeration(self, seed, zero_one):
+        # asked twice: with zero_one, every value is 0 or 1, and the second
+        # call is answered from the memo
         rng = random.Random(seed)
         degree = rng.randint(1, 8)
         profile = [
             (
                 rng.randint(0, 5),
-                rng.random() if rng.random() < 0.8 else rng.choice(EDGE_VALUES),
+                float(rng.random() < 0.5) if zero_one
+                else rng.random() if rng.random() < 0.8 else rng.choice(EDGE_VALUES),
                 rng.randint(1, 9),
             )
             for _ in range(degree)
         ]
         m, values = star(profile)
         budget = rng.randint(0, 10)
-        removal, surviving = best_removal(m, "hub", budget, values)
         expected_removal, expected_surviving = enumerate_best(m, "hub", budget, values)
-        assert removal == expected_removal
-        assert surviving == float(expected_surviving)
+        for _ in range(2):
+            removal, surviving = best_removal(m, "hub", budget, values)
+            assert removal == expected_removal
+            assert surviving == float(expected_surviving)
+        if degree > 1:
+            stored = all(v in (0.0, 1.0) for v in values.values())
+            assert len(m._plans["hub", budget][-1]) == stored
 
     @pytest.mark.parametrize(
         "profile, budget",
@@ -257,11 +264,13 @@ class TestBestRemoval:
         ],
     )
     def test_exact_on_fixed_rows(self, profile, budget):
+        # asked twice: rows of values 0 and 1 are answered from the memo
         m, values = star(profile)
-        removal, surviving = best_removal(m, "hub", budget, values)
         expected_removal, expected_surviving = enumerate_best(m, "hub", budget, values)
-        assert removal == expected_removal
-        assert surviving == float(expected_surviving)
+        for _ in range(2):
+            removal, surviving = best_removal(m, "hub", budget, values)
+            assert removal == expected_removal
+            assert surviving == float(expected_surviving)
 
     # at 2.9e-308 the product of 1/3 is subnormal, where rounding twice
     # (a product, then a division) loses the correctly rounded result
@@ -424,16 +433,19 @@ class TestBestRemoval:
             best_removal(m, "hub", 2**22, values)
 
     def test_one_model_answers_every_budget(self):
-        # a plan holds the removal sets of one budget: calls that move
-        # between budgets on one model must not answer from another's
+        # a plan holds the removal sets and the memo of one budget: calls
+        # that move between budgets on one model must not answer from another's
         m, _ = star([(1, 1.0, 3), (2, 1.0, 1), (3, 1.0, 4), (1, 1.0, 1), (4, 1.0, 5)])
         rng = random.Random(24)
         for budget in [1, 4, 1, 0, 4, 10, 2, 7, 0, 3, 10, 5, 1, 6, 8, 9, 2, 5]:
-            values = {q: rng.random() for q in m.states}
-            removal, surviving = best_removal(m, "hub", budget, values)
-            want_removal, want_surviving = enumerate_best(m, "hub", budget, values)
-            assert removal == want_removal
-            assert surviving == float(want_surviving)
+            for values in (
+                {q: rng.random() for q in m.states},
+                {q: float(rng.random() < 0.6) for q in m.states},
+            ):
+                removal, surviving = best_removal(m, "hub", budget, values)
+                want_removal, want_surviving = enumerate_best(m, "hub", budget, values)
+                assert removal == want_removal
+                assert surviving == float(want_surviving)
         assert len(m._plans) == 11
 
     def test_answering_leaves_equality_and_repr_alone(self, attack_graph_path):
@@ -446,12 +458,35 @@ class TestBestRemoval:
         assert used == fresh
         assert repr(used) == before == repr(fresh)
 
+    @pytest.mark.parametrize("fraction", [0.5, 5e-324, 0.9999999999999999, 1.0000000000000002])
+    def test_fractional_values_are_not_stored(self, fraction):
+        m, values = star([(1, 1.0, 3), (1, 0.0, 1), (1, fraction, 2)])
+        best_removal(m, "hub", 2, values)
+        assert m._plans["hub", 2][-1] == {}
+        values["t2"] = 1.0
+        best_removal(m, "hub", 2, values)
+        assert list(m._plans["hub", 2][-1]) == [(1.0, 0.0, 1.0)]
+
+    def test_negative_zero_keys_and_answers_as_zero(self):
+        m, values = star([(1, -0.0, 3), (1, 1.0, 1), (1, -0.0, 2)])
+        want = enumerate_best(m, "hub", 1, values)
+        removal, surviving = best_removal(m, "hub", 1, values)
+        assert (removal, surviving) == (want[0], float(want[1]))
+        positive = dict(values, t0=0.0, t2=0.0)
+        assert best_removal(m, "hub", 1, positive) == (removal, surviving)
+        assert m._plans["hub", 1][-1] == {(0.0, 1.0, 0.0): (removal, surviving)}
+        # the same with every value -0.0: the surviving mass is +0.0
+        removal, surviving = best_removal(m, "hub", 1, dict(values, t1=-0.0))
+        assert (removal, math.copysign(1.0, surviving)) == ((), 1.0)
+        assert best_removal(m, "hub", 1, dict(positive, t1=0.0)) == ((), 0.0)
+        assert len(m._plans["hub", 1][-1]) == 2
+
     def test_pruned_model_starts_without_plans(self):
         m, values = star([(1, 0.2, 1), (1, 0.9, 2), (2, 0.5, 3)])
         best_removal(m, "hub", 2, values)
         assert m._plans
         pruned = prune(m, [("hub", "t1")])
-        assert pruned._plans == {}
+        assert pruned._plans == pruned._terms == {}
         removal, surviving = best_removal(pruned, "hub", 2, values)
         want_removal, want_surviving = enumerate_best(pruned, "hub", 2, values)
         assert removal == want_removal == (("hub", "t2"),)
