@@ -44,8 +44,8 @@ A fifth line identifies the model loader and ``validate``: for each
 model of ``corpus(2024, 60)``, written by ``dumps_model``, and for each
 of ``MODEL_MUTATIONS`` applied to that document, either the exact
 ``ModelError`` text of ``loads_model`` or the loaded model's fields (its
-exact probabilities in file order, labels, costs, each state's row and
-predecessors) with the report of ``validate``.
+exact probabilities in file order, labels, costs, each state's row, by
+``row_facts``, and predecessors) with the report of ``validate``.
 
     PYTHONHASHSEED=0 python scripts/answers_digest.py
 """
@@ -427,6 +427,12 @@ MODEL_MUTATIONS = [
 ]
 
 
+def row_facts(row):
+    """What a row says, whatever its fields are named: its edges,
+    successors, costs, and float probabilities as ``float.hex``."""
+    return row.edges, row.succ, row.costs, [p.hex() for p in row.probs]
+
+
 def model_outcome(text):
     try:
         model = loads_model(text)
@@ -438,7 +444,7 @@ def model_outcome(text):
         [(e, f"{p.numerator}/{p.denominator}") for e, p in model.prob.items()],
         sorted((q, sorted(props)) for q, props in model.labels.items()),
         list(model.cost.items()),
-        [(q, model.row(q), model.pred(q)) for q in model.states],
+        [(q, *row_facts(model.row(q)), model.pred(q)) for q in model.states],
         validate(model),
     )
 

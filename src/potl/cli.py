@@ -12,11 +12,11 @@ is not finite and positive, a maximum iteration count below 1, a state
 whose removal optimizer front outgrows its cap, a formula or strategy
 file that cannot be read or is not UTF-8, a strategy file that cannot be
 written, a formula number of more digits than Python converts to an int,
-input nested deeper than Python's recursion limit, and ``oracle
---formula`` with ``--grade``, ``--mode`` or ``--strategy``; 3 invalid
-model, or one that cannot be read or is not UTF-8; 4 no convergence, or a
-step bound above the maximum iteration count; 5 oracle enumeration too
-large.
+input nested deeper than Python's recursion limit, ``oracle --formula``
+with ``--grade``, ``--mode`` or ``--strategy``, and ``--strategy`` with
+``--grade`` or ``--mode``; 3 invalid model, or one that cannot be read or
+is not UTF-8; 4 no convergence, or a step bound above the maximum
+iteration count; 5 oracle enumeration too large.
 
 ``main`` owns the exit-code table: the commands raise, and ``main`` maps
 ``_CliError`` to its code and the engine's, oracle's and optimizer's
@@ -122,6 +122,14 @@ def _read_path(args) -> PathFormula:
         raise _CliError(f"path formula error: {exc}", EXIT_USAGE)
 
 
+def _refuse_beside(args, given: str, flags: tuple[str, ...]) -> None:
+    """Exit 2 when any of ``flags``, each None unless given, comes with the
+    flag ``given``, which carries its own grade and mode."""
+    passed = [f"--{name}" for name in flags if vars(args)[name] is not None]
+    if vars(args)[given] is not None and passed:
+        raise _CliError(f"--{given} takes no {' or '.join(passed)}", EXIT_USAGE)
+
+
 def _engine_options(args) -> EngineOptions:
     try:
         return EngineOptions(
@@ -194,6 +202,7 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_prob(args) -> tuple[int, dict, list[str]]:
+    _refuse_beside(args, "strategy", ("grade", "mode"))
     model = _load_valid_model(args.model)
     theta = _read_path(args)
     opts = _engine_options(args)
@@ -204,8 +213,8 @@ def _cmd_prob(args) -> tuple[int, dict, list[str]]:
         values = engine.prob_fixed(model, strategy, theta, sat1, sat2, opts, stats)
         mode, grade = "fixed", strategy.grade
     else:
-        values = engine.path_values(model, theta, args.grade, args.mode, opts, stats)
-        mode, grade = args.mode, args.grade
+        mode, grade = args.mode or "min", args.grade or 0
+        values = engine.path_values(model, theta, grade, mode, opts, stats)
     if args.state is not None:
         if args.state not in model.states:
             raise _CliError(f"unknown state {args.state!r}", EXIT_USAGE)
@@ -253,10 +262,8 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
-    path_flags = ("grade", "mode", "strategy")
-    passed = [f"--{name}" for name in path_flags if vars(args)[name] is not None]
-    if args.formula is not None and passed:
-        raise _CliError(f"only --path takes {' and '.join(passed)}, not --formula", EXIT_USAGE)
+    _refuse_beside(args, "formula", ("grade", "mode", "strategy"))
+    _refuse_beside(args, "strategy", ("grade", "mode"))
     model = _load_valid_model(args.model)
     limit, cap = args.limit, args.max_iterations
     if args.formula is not None:
@@ -394,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     prob = command("prob", _cmd_prob, "per-state path probabilities")
     prob.add_argument("--path", required=True)
-    prob.add_argument("--grade", type=non_negative_int, default=0)
-    prob.add_argument("--mode", choices=["min", "max"], default="min")
+    # None unless given, so that --strategy can refuse them
+    prob.add_argument("--grade", type=non_negative_int)
+    prob.add_argument("--mode", choices=["min", "max"])
     prob.add_argument("--state")
     prob.add_argument("--strategy", help="evaluate this fixed strategy instead")
     _add_engine_flags(prob)
@@ -412,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = orc.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--path")
-    # None unless given, so that --formula can refuse them
+    # None unless given, so that --formula and --strategy can refuse them
     orc.add_argument("--grade", type=non_negative_int)
     orc.add_argument("--mode", choices=["min", "max"])
     orc.add_argument("--strategy")

@@ -3,15 +3,15 @@
 Formulas are processed bottom-up; each obstruction query turns into a
 per-state optimum over removal strategies. Every core path operator is a
 frame, the whole solve: start values that pin every state but the
-undetermined ones a sweep updates, their undetermined successors, and a
-sweep count: one for next, k for the step-bounded operators, none for
-unbounded until and release, which sweep to a fixed point. One Jacobi
-loop runs every frame. Its step is ``_argmin_step``, the engine's one
-optimizer call, which keeps each state's argmin removal (value iteration
-and witness synthesis; policy iteration improves with it too), or a fixed
-policy's row sums (max mode, and the power method of policy iteration).
-The sweeps run on two value buffers that swap roles after each sweep, so
-no vector is copied per sweep.
+undetermined ones a sweep updates, their successors, and a sweep count:
+one for next, k for the step-bounded operators, none for unbounded until
+and release, which sweep to a fixed point. One Jacobi loop runs every
+frame. Its step is ``_argmin_step``, the engine's one optimizer call,
+which keeps each state's argmin removal (value iteration and witness
+synthesis; policy iteration improves with it too), or a fixed policy's
+row sums (max mode, and the power method of policy iteration). The
+sweeps run on two value buffers that swap roles after each sweep, so no
+vector is copied per sweep.
 
 A step reads only its state's successors, so a state none of whose
 undetermined successors was stepped in a sweep would get the same float
@@ -110,12 +110,12 @@ class Frame(NamedTuple):
     holds every state's value before the first sweep; states outside
     ``undetermined`` are pinned to it. ``sweeps`` is the step count, or None
     for a fixed point. ``succ`` maps each undetermined state to its
-    undetermined successors in the unpruned graph (None for next)."""
+    successors in the unpruned graph (None for next)."""
 
     start: dict[str, float]
     undetermined: list[str]
     sweeps: int | None
-    succ: dict[str, frozenset[str]] | None = None
+    succ: dict[str, tuple[str, ...]] | None = None
 
 
 def _backward_reachable(
@@ -149,8 +149,8 @@ def _frame(
     - release: pinned 1 on ``sat1 & sat2`` and 0 outside ``sat2``;
       undetermined are ``sat2 - sat1``, starting from above.
 
-    Until and release carry their undetermined successors; next, a single
-    sweep, needs none.
+    Until and release carry each undetermined state's successors; next, a
+    single sweep, needs none.
     """
     start = {q: (1.0 if q in sat2 else 0.0) for q in model.states}
     if op is Next:
@@ -163,7 +163,7 @@ def _frame(
     else:
         raise TypeError(f"not a core path operator: {op!r}")
     undetermined = [q for q in model.states if q in inside]
-    succ = {q: inside.intersection(model.row(q).succ) for q in undetermined}
+    succ = {q: model.row(q).succ for q in undetermined}
     # a fixed policy only drops edges, so these serve its power method too
     return Frame(start, undetermined, sweeps, succ)
 
@@ -245,16 +245,12 @@ def _iterate(
 
 def _policy_step(model: Pots, policy: Mapping[str, Removal]) -> Step:
     """Row sums of the chain pruned by a fixed removal policy, read once
-    from each state's ``Row``: ``pn / pd`` is the float probability."""
+    from each state's ``Row``."""
     rows = {}
     for q, removed in policy.items():
         row = model.row(q)
         gone = set(removed)
-        rows[q] = [
-            (r, pn / pd)
-            for e, r, (pn, pd) in zip(row.edges, row.succ, row.ratios)
-            if e not in gone
-        ]
+        rows[q] = [(r, p) for e, r, p in zip(row.edges, row.succ, row.probs) if e not in gone]
 
     def step(q: str, x: Mapping[str, float]) -> float:
         # left to right: sum() compensates float sums from Python 3.12 on

@@ -4,9 +4,8 @@ with a non-negative integer removal cost on every edge.
 Probabilities are exact rationals, parsed once from the decimal strings
 of the model file; the exact oracle reads them. The float engine and the
 removal optimizer read each state's :class:`Row`, which holds every edge's
-probability rounded to a 64-bit float, as an exact integer ratio. Costs
-live only on existing edges; absent pairs cost 0 and are never removal
-candidates.
+probability rounded to a 64-bit float. Costs live only on existing edges;
+absent pairs cost 0 and are never removal candidates.
 
 :func:`loads_model` checks each edge once, in its own loop, and builds
 the model directly; :meth:`Pots.build` keeps the same checks for models
@@ -38,14 +37,13 @@ class ModelError(ValueError):
 
 class Row(NamedTuple):
     """The outgoing edges of one state in the model's state order, with what
-    the removal optimizer reads of each: the successor, the removal cost, and
-    the float probability as an exact integer ratio (numerator, denominator);
-    the denominator is a power of two."""
+    the engine and the removal optimizer read of each: the successor, the
+    removal cost, and the probability as the correctly rounded float."""
 
     edges: tuple[Edge, ...]
     succ: tuple[str, ...]
     costs: tuple[int, ...]
-    ratios: tuple[tuple[int, int], ...]
+    probs: tuple[float, ...]
 
 
 _EMPTY_ROW = Row((), (), (), ())
@@ -94,8 +92,7 @@ class Pots:
             for e, p in self.prob.items():
                 q, r = e
                 # int true division rounds correctly, as float(p) does, but faster
-                f = p.numerator / p.denominator
-                outgoing[q].append((index[r], e, r, cost.get(e, 0), f.as_integer_ratio()))
+                outgoing[q].append((index[r], e, r, cost.get(e, 0), p.numerator / p.denominator))
         except KeyError:
             raise ModelError(f"edge ({q!r}, {r!r}) references unknown state") from None
         rows = {}
@@ -104,8 +101,8 @@ class Pots:
             entries = outgoing[q]
             if entries:
                 entries.sort()
-                _, edges, targets, costs, ratios = zip(*entries)
-                rows[q] = Row(edges, targets, costs, ratios)
+                _, edges, targets, costs, probs = zip(*entries)
+                rows[q] = Row(edges, targets, costs, probs)
                 # sources come in state order, so each list needs no sort
                 for r in targets:
                     pred[r].append(q)
@@ -168,7 +165,7 @@ class Pots:
         return self._rows[q].succ
 
     def row(self, q: str) -> Row:
-        """The outgoing edges of ``q`` with their costs and exact float
+        """The outgoing edges of ``q`` with their costs and float
         probabilities; built once, with the model."""
         try:
             return self._rows[q]

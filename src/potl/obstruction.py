@@ -237,18 +237,17 @@ def _plan(model: Pots, q: str, budget: int) -> tuple:
     the row itself, its non-empty strict removal sets within the budget
     (None for the Pareto front), and a memo, empty at first, of answers to
     successor values that are all exactly 0 or 1. What such a row reads at
-    every budget, a getter of its successors' values and (successor,
-    numerator, bit length of the power-of-two denominator) per edge, is
-    made once per state, in ``Pots._terms``."""
+    every budget is made once per state, in ``Pots._terms``: a getter of its
+    successors' values, and each probability's exact integer view, the
+    numerator and the bit length of its power-of-two denominator."""
     row = model.row(q)
     if len(row.costs) == 1:
-        ((pn, pd),) = row.ratios
-        return row.succ[0], pn / pd
+        return row.succ[0], row.probs[0]
     if q not in model._terms:
-        model._terms[q] = (
-            itemgetter(*row.succ),
-            tuple([(r, pn, pd.bit_length()) for r, (pn, pd) in zip(row.succ, row.ratios)]),
-        )
+        # itemgetter() of no key raises: an edgeless row reads no values
+        successors = itemgetter(*row.succ) if row.succ else lambda value: ()
+        exact = map(float.as_integer_ratio, row.probs)
+        model._terms[q] = successors, tuple([(pn, pd.bit_length()) for pn, pd in exact])
     options = _options(row.costs, budget)
     return row, options if options is None else options[1:], {}
 
@@ -272,11 +271,9 @@ def best_removal(
     correctly.
 
     What does not depend on ``value`` is planned on the first call and
-    kept with the model: the successors and the probabilities' integer
-    ratios once per state, the removal sets within the budget once per
-    state and budget (see ``_plan``). When every successor value of a row
-    of two or more edges is exactly 0 or 1 (pinned states, and states the
-    minimizer holds at 0 or 1), the answer depends only on which
+    kept with the model (see ``_plan``). When every successor value of a
+    row other than a lone edge is exactly 0 or 1 (pinned states, and states
+    the minimizer holds at 0 or 1), the answer depends only on which
     successors hold 1, so the plan's memo keeps it, keyed by the tuple of
     successor values (``-0.0`` keys and answers as 0): each such pattern
     is computed once per plan. Other values are computed every time and
@@ -293,7 +290,7 @@ def best_removal(
         r, p = plan
         return (), p * value[r]
     row, options, known = plan
-    successors, edges = model._terms[q]
+    successors, terms = model._terms[q]
     values = successors(value)
     answer = known.get(values)
     if answer is not None:
@@ -304,8 +301,8 @@ def best_removal(
     nums = []
     sizes = []
     top = 2
-    for r, pn, pbits in edges:
-        vn, vd = value[r].as_integer_ratio()
+    for v, (pn, pbits) in zip(values, terms):
+        vn, vd = v.as_integer_ratio()
         nums.append(pn * vn)
         size = pbits + vd.bit_length()
         sizes.append(size)

@@ -331,7 +331,8 @@ class TestCriterion4ScenarioReproduction:
         assert Fraction("0.07425") in probs
         assert Fraction("0.00075") in probs
         assert {5, 1, 3} <= set(attack_graph.cost.values())
-        text = open(attack_graph_path, encoding="utf-8").read()
+        with open(attack_graph_path, encoding="utf-8") as handle:
+            text = handle.read()
         assert '"0.07425"' in text and '"0.00075"' in text
 
     def test_verdicts_match_the_oracle_golden_file(

@@ -419,6 +419,26 @@ class TestProb:
         assert out == ""
         assert "cannot read strategy" in err
 
+    @pytest.mark.parametrize("command", ["prob", "oracle"])
+    @pytest.mark.parametrize(
+        "flags",
+        [("--grade", "3"), ("--grade", "0"), ("--mode", "max"), ("--mode", "min"),
+         ("--grade", "3", "--mode", "max")],
+    )
+    def test_strategy_refuses_grade_and_mode(self, capsys, chain_path, tmp_path, command, flags):
+        # the strategy names its own grade, and its mode is fixed; the file,
+        # here one that names an unknown state, was never read
+        strategy = tmp_path / "s.json"
+        strategy.write_text('{"grade": 1, "removal": {"nope": []}}')
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(
+                capsys, command, "--model", chain_path, "--path", "F goal",
+                "--strategy", str(strategy), *flags, *json_flag,
+            )
+            assert (code, out) == (2, "")
+            named = " or ".join(f for f in ("--grade", "--mode") if f in flags)
+            assert err == f"--strategy takes no {named}\n"
+
 
 class TestSynthesize:
     def test_writes_valid_strategy_reproducible_by_prob(self, capsys, chain_path, tmp_path):
@@ -573,8 +593,8 @@ class TestOracle:
                 "--formula", "<<5 < 0.2>> F r3", *flags, *json_flag,
             )
             assert (code, out) == (2, "")
-            named = " and ".join(f for f in ("--grade", "--mode", "--strategy") if f in flags)
-            assert err == f"only --path takes {named}, not --formula\n"
+            named = " or ".join(f for f in ("--grade", "--mode", "--strategy") if f in flags)
+            assert err == f"--formula takes no {named}\n"
 
     def test_path_optimum_with_witnesses(self, capsys, chain_path):
         code, payload, _ = run_json(

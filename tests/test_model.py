@@ -349,9 +349,9 @@ class TestAdjacency:
         assert row.edges == edges_of(m, "q") == (("q", "z"), ("q", "a"))
         assert row.succ == m.succ("q") == ("z", "a")
         assert row.costs == (1, 4)
-        for r, (num, den) in zip(row.succ, row.ratios):
-            assert den & (den - 1) == 0
-            assert Fraction(num, den) == Fraction(float(m.prob[("q", r)]))
+        for r, p in zip(row.succ, row.probs):
+            exact = m.prob[("q", r)]
+            assert p.hex() == (exact.numerator / exact.denominator).hex()
 
     def test_unknown_state_rejected(self):
         with pytest.raises(ModelError):

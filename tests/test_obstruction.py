@@ -26,7 +26,7 @@ from potl.obstruction import (
     strategy_to_json,
     validate_strategy,
 )
-from potl.oracle import removal_options
+from potl.oracle import oracle_optimum, removal_options
 from potl.syntax import parse
 
 
@@ -480,6 +480,18 @@ class TestBestRemoval:
         assert (removal, math.copysign(1.0, surviving)) == ((), 1.0)
         assert best_removal(m, "hub", 1, dict(positive, t1=0.0)) == ((), 0.0)
         assert len(m._plans["hub", 1][-1]) == 2
+
+    def test_edgeless_state_keeps_nothing(self):
+        # an unvalidated model: q has no edge, so nothing survives at q
+        m = Pots.build(["q", "g"], "q", [("g", "g", 1, 0)], {"g": ["g"]})
+        for budget in range(4):
+            removal, surviving = best_removal(m, "q", budget, {"q": 1.0, "g": 1.0})
+            assert (removal, surviving.hex()) == ((), (0.0).hex())
+        phi = parse("<<1 < 0.5>> X g")
+        exact = oracle_optimum(m, phi.body, frozenset(), frozenset({"g"}), 1, "min")
+        result = check(m, phi)
+        assert result.values == {q: float(v) for q, v in exact.values.items()}
+        assert result.sat == {"q"}
 
     def test_pruned_model_starts_without_plans(self):
         m, values = star([(1, 0.2, 1), (1, 0.9, 2), (2, 0.5, 3)])
