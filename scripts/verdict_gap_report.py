@@ -13,7 +13,14 @@ operands are atoms ``a`` and ``b`` or queries over them, at grades 0 to
 4 (``--grades`` sets the flat grid's only) and the thresholds below. The
 script then lists each disagreement.
 
-    python scripts/verdict_gap_report.py [--count 200] [--seed 2024] [--nested N]
+With ``--scale N`` it checks instead ``scaling_model(N, seed)`` for the
+``--count`` seeds from ``--seed`` on, on each path below at grade 0 and
+the maximizer's thresholds ``> 0``, ``>= 1`` and ``>= 1/2``, and lists
+each disagreement with the first state it is at in model order and how
+many more there are. Max mode is one exact solve per query, so the
+oracle answers at this scale.
+
+    python scripts/verdict_gap_report.py [--count 200] [--seed 2024] [--nested N | --scale N]
 
 A reader that closes the pipe early (``| head``) ends the script with
 status 141, as a SIGPIPE kill would, and no traceback.
@@ -29,7 +36,7 @@ from collections import Counter
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from potl.engine import check
-from potl.generate import corpus
+from potl.generate import corpus, scaling_model
 from potl.oracle import oracle_sat
 from potl.syntax import parse
 
@@ -39,6 +46,7 @@ PATHS = [
 ]
 THRESHOLDS = ["< 1", "<= 0", "> 0", ">= 1", "< 1/2", ">= 1/2"]
 SHAPES = ["X {}", "F {}", "G {}", "{} U {}", "{} R {}", "{} U<=3 {}"]
+MAX_THRESHOLDS = ["> 0", ">= 1", ">= 1/2"]
 
 
 def query(rng: random.Random, shape: str, operands: list[str]) -> str:
@@ -69,12 +77,34 @@ def nested_report(models: list, per_model: int, rng: random.Random) -> None:
             phi = parse(formula)
             checked += 1
             if check(model, phi).sat != oracle_sat(model, phi):
-                wrong.append((i, formula))
+                wrong.append((f"model#{i}", formula))
+    print_listing(checked, wrong, len(models))
+
+
+def scale_report(n_states: int, seeds: range) -> None:
+    checked, wrong = 0, []
+    for seed in seeds:
+        model = scaling_model(n_states, seed)
+        for path in PATHS:
+            for threshold in MAX_THRESHOLDS:
+                formula = f"<<0 {threshold}>> {path}"
+                phi = parse(formula)
+                checked += 1
+                differ = check(model, phi).sat ^ oracle_sat(model, phi)
+                if differ:
+                    first = next(q for q in model.states if q in differ)
+                    more = f" and {len(differ) - 1} more" if len(differ) > 1 else ""
+                    wrong.append((f"seed {seed}", f"{formula} at {first}{more}"))
+    print_listing(checked, wrong, len(seeds))
+
+
+def print_listing(checked: int, wrong: list[tuple[str, str]], models: int) -> None:
+    """The counts, then each disagreement as its model and what differs."""
     print(f"checks: {checked}")
     print(f"disagreements: {len(wrong)}")
-    print(f"models with one: {len({i for i, _ in wrong})} of {len(models)}")
-    for i, formula in wrong:
-        print(f"  model#{i} {formula}")
+    print(f"models with one: {len({model for model, _ in wrong})} of {models}")
+    for model, line in wrong:
+        print(f"  {model} {line}")
 
 
 def main() -> None:
@@ -83,7 +113,11 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--grades", type=int, nargs="+", default=[0, 1, 2, 4])
     parser.add_argument("--nested", type=int, default=0, metavar="N")
+    parser.add_argument("--scale", type=int, default=0, metavar="N")
     args = parser.parse_args()
+    if args.scale:
+        scale_report(args.scale, range(args.seed, args.seed + args.count))
+        return
     if args.nested:
         nested_report(corpus(args.seed, args.count), args.nested, random.Random(args.seed))
         return

@@ -21,11 +21,11 @@ each operator's optimum.
 
 The arithmetic is on integers. Each entry point scales the probabilities
 on the rows it reads to integer numerators over one common denominator,
-the lcm of theirs. The unbounded operators solve their integer system by
-fraction-free Gauss-Jordan elimination, whose every division is exact;
-the bounded ones keep numerators over a power of that denominator. A
-``Fraction`` is built only for a value handed back, so no step pays for a
-gcd, and the values are the same canonical rationals.
+the lcm of theirs. Until and release are one fixed point,
+:func:`_fixed_point`, solved by integer state elimination with each
+equation divided by the gcd of its integers; the bounded operators keep
+numerators over a power of that denominator. A ``Fraction`` is built
+only for a value handed back, and the values are the canonical rationals.
 
 A fixed-strategy value reads the rows of its frame's undetermined states
 only, so only those rows are built, and an optimum walks only those
@@ -188,7 +188,8 @@ def enumerate_strategies(
 # A state's surviving row under some removal: (successor, numerator) pairs
 # in the model's state order, each numerator the edge's exact probability
 # times the entry point's common denominator (see _denominator). A
-# strategy's chain is one row per state; no pruned model is built.
+# strategy's chain is one row per undetermined state, a step of _unroll
+# or an equation of _fixed_point; no pruned model is built.
 Survivors = tuple[tuple[str, int], ...]
 
 
@@ -209,121 +210,74 @@ def _survivors(model: Pots, q: str, removed: Collection[Edge], den: int) -> Surv
     )
 
 
-def _solve(a: list[list[int]]) -> list[Fraction]:
-    """The solution of a square nonsingular integer system, given as the
-    rows of its augmented matrix ``[A | b]``, which are overwritten.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
-    and multistep integer-preserving Gaussian elimination", 1968). Step
-    ``k`` picks the pivot row as the rational elimination does (the first
-    nonzero entry at or below the diagonal), then sets every other row to
-    ``(p * row - row[k] * pivot_row) / prev``, with ``p`` this step's
-    pivot and ``prev`` the last one. Every entry is then, up to sign, a
-    minor of ``[A | b]``, so the division is exact. After the step the
-    first ``k + 1`` columns are ``p`` times the identity's; they are left
-    unwritten, as no later step reads them. So ``x_i = b_i / p`` for the
-    last pivot ``p``."""
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot is None:
-            raise ArithmeticError("singular linear system in exact solver")
-        a[k], a[pivot] = a[pivot], a[k]
-        top = a[k]
-        p = top[k]
-        tail = top[k + 1 :]
-        for i in range(n):
-            if i == k:
-                continue
-            row = a[i]
-            f = row[k]
-            if f:
-                row[k + 1 :] = [(p * v - f * w) // prev for v, w in zip(row[k + 1 :], tail)]
-            elif p != prev:
-                row[k + 1 :] = [p * v // prev for v in row[k + 1 :]]
-        prev = p
-    return [Fraction(row[n], prev) for row in a]
-
-
-def _predecessors(
-    rows: Mapping[str, Survivors], region: frozenset[str]
-) -> dict[str, list[str]]:
-    """Each state's predecessors in ``region`` along their survivor rows."""
-    pred: dict[str, list[str]] = {}
-    for q in region:
-        for r, _ in rows[q]:
-            pred.setdefault(r, []).append(q)
-    return pred
-
-
-def _backward_reachable(
-    rows: Mapping[str, Survivors], targets: frozenset[str], through: frozenset[str]
-) -> set[str]:
-    """States with a positive-probability path to ``targets`` whose
-    intermediate states all lie in ``through``: a worklist from the
-    targets back along the rows of ``through``."""
-    pred = _predecessors(rows, through)
-    reached = set(targets)
-    work = list(reached)
-    while work:
-        for q in pred.get(work.pop(), ()):
-            if q not in reached:
-                reached.add(q)
-                work.append(q)
-    return reached
-
-
-def _reach_exact(
+def _fixed_point(
     states: Sequence[str],
     rows: Mapping[str, Survivors],
     den: int,
-    through: frozenset[str],
-    targets: frozenset[str],
+    within: frozenset[str],
+    ones: frozenset[str],
+    greatest: bool,
 ) -> dict[str, Fraction]:
-    """Exact probability of hitting ``targets`` while travelling through
-    ``through`` only, per start state: the solution of ``(den*I - N) x =
-    b``, with ``N`` the rows' numerators among the unknowns and ``b`` their
-    numerators into ``targets``."""
-    values = {q: ZERO for q in states}
-    for q in targets:
-        values[q] = ONE
-    can = _backward_reachable(rows, targets, through)
-    unknowns = [q for q in states if q in can and q not in targets]
-    if not unknowns:
-        return values
-    n = len(unknowns)
-    index = {q: i for i, q in enumerate(unknowns)}
-    system = []
-    for q in unknowns:
-        row = [0] * (n + 1)
-        row[index[q]] = den
+    """The least (until) or ``greatest`` (release) fixed point of ``x_q =
+    sum of p * x_r`` over the survivor ``rows`` of ``within``, with ``x``
+    pinned to 1 on ``ones`` and to 0 on every other state outside.
+
+    Integer Gauss-Jordan state elimination (Daws, ICTAC 2004; Hahn,
+    Hermanns & Zhang, STTT 2011). Each state of ``within`` has one
+    equation ``d * x_q = sum of n_r * x_r + c`` over ``within``, its
+    self-loop moved into ``d``. The state with the fewest (equations
+    naming it x its own terms) goes first, ties in model order. It is
+    substituted into every equation that still names it, eliminated or
+    not, and each updated equation is divided by the gcd of its integers,
+    which keeps them short. A pivot ``d`` of 0 means the state keeps all
+    its mass among states already eliminated: a closed class, which never
+    reaches ``ones``, so it takes 0 for the least fixed point and 1 for
+    the greatest. At the end each equation reads ``d * x_q = c``."""
+    values = {q: ONE if q in ones else ZERO for q in states}
+    pending = [q for q in states if q in within]
+    eqs: dict[str, tuple[int, dict[str, int], int]] = {}
+    users: dict[str, set[str]] = {q: set() for q in pending}  # equations naming q
+    for q in pending:
+        d, terms, c = den, {}, 0
         for r, p in rows[q]:
-            if r in targets:
-                row[n] += p
-            elif r in index:
-                row[index[r]] -= p
-        system.append(row)
-    for q, v in zip(unknowns, _solve(system)):
-        values[q] = v
+            if r == q:
+                d -= p
+            elif r in users:
+                terms[r] = p
+                users[r].add(q)
+            elif r in ones:
+                c += p
+        eqs[q] = d, terms, c
+    if not greatest and not any(c for _, _, c in eqs.values()):
+        return values  # no state steps into ones: the least fixed point is 0
+    while pending:
+        q = min(pending, key=lambda q: len(users[q]) * len(eqs[q][1]))
+        pending.remove(q)
+        dq, tq, cq = eqs[q]
+        if not dq:
+            dq, tq, cq = 1, {}, int(greatest)
+            eqs[q] = dq, tq, cq
+        for s in users.pop(q):
+            ds, ts, cs = eqs[s]
+            m = ts.pop(q)
+            ds, cs = ds * dq, cs * dq + m * cq
+            if dq != 1:
+                ts = {r: n * dq for r, n in ts.items()}
+            for r, n in tq.items():
+                if r == s:
+                    ds -= m * n
+                else:
+                    ts[r] = ts.get(r, 0) + m * n
+                    users[r].add(s)
+            g = math.gcd(ds, cs, *ts.values())
+            if g > 1:
+                ds, cs = ds // g, cs // g
+                ts = {r: n // g for r, n in ts.items()}
+            eqs[s] = ds, ts, cs
+    for q, (d, _, c) in eqs.items():
+        # 0 and 1 need no gcd
+        values[q] = ZERO if not c else ONE if c == d else Fraction(c, d)
     return values
-
-
-def _stable_core(
-    rows: Mapping[str, Survivors], den: int, region: frozenset[str]
-) -> frozenset[str]:
-    """Largest subset of ``region`` every state of which keeps full
-    probability mass (numerators summing to ``den``) inside the subset: a
-    worklist that rechecks a state's predecessors when it leaves."""
-    pred = _predecessors(rows, region)
-    core = set(region)
-    work = list(region)
-    while work:
-        q = work.pop()
-        if q in core and sum([p for r, p in rows[q] if r in core]) != den:
-            core.discard(q)
-            work += pred.get(q, ())
-    return frozenset(core)
 
 
 class Frame(NamedTuple):
@@ -407,14 +361,9 @@ def _fixed_values(
     numerators over ``den``."""
     if frame.sweeps is not None:
         return _unroll(states, frame, sat2, den, {q: (row,) for q, row in rows.items()})[0]
-    within = frame.undetermined
     if isinstance(theta, Until):
-        return _reach_exact(states, rows, den, within, sat2)
-    # The two events of release are disjoint: the core keeps all its mass
-    # inside ``within``, which ``sat1 & sat2`` lies outside. So one solve
-    # with both as targets gives their sum.
-    core = _stable_core(rows, den, within)
-    return _reach_exact(states, rows, den, within, (sat1 & sat2) | core)
+        return _fixed_point(states, rows, den, frame.undetermined, sat2, False)
+    return _fixed_point(states, rows, den, frame.undetermined, sat1 & sat2, True)
 
 
 def exact_prob(
@@ -428,13 +377,12 @@ def exact_prob(
     """Exact satisfaction probability of a core path formula under a fixed
     memoryless strategy; operand satisfaction sets are supplied resolved
     (``sat2`` alone matters for next). Next and the bounded operators
-    unroll their step bound; until solves for the probability of reaching
-    ``sat2``. Release adds two disjoint events: hitting a state satisfying
-    both operands while staying in the right operand, or staying in the
-    right operand (and off the left one) forever, whose mass concentrates
-    on the no-leak core of that region. Only the rows of the frame's
-    undetermined states are built. Raises :class:`ModelError` when the
-    strategy removes an edge the model does not have."""
+    unroll their step bound. Until is the least fixed point that is 1 on
+    ``sat2``, and release the greatest that is 1 on ``sat1 & sat2``: a
+    state that stays in the right operand forever, in a closed class of
+    it, satisfies release. Only the rows of the frame's undetermined
+    states are built. Raises :class:`ModelError` when the strategy removes
+    an edge the model does not have."""
     removed = strategy.all_removed()
     for e in removed:
         if e not in model.prob:

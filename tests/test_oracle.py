@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cylinder import cylinder_measure
 from potl import oracle
+from potl.engine import check
 from potl.generate import corpus, random_pots, scaling_model
 from potl.model import ModelError, Pots, dumps_model, edges_of, loads_model, prune
 from potl.obstruction import MemorylessStrategy, empty_strategy
@@ -21,6 +22,7 @@ from potl.oracle import (
     exact_bounded_by_paths,
     exact_prob,
     oracle_optimum,
+    oracle_query_values,
     oracle_sat,
     removal_options,
     step_optimum,
@@ -36,6 +38,7 @@ from potl.syntax import (
     Until,
     parse,
 )
+from test_acceptance import TOLERANCE
 
 
 def label_sets(model):
@@ -631,8 +634,8 @@ class TestRowsOnlyForTheFrame:
 
 
 def rescanned_reachable(rows, targets, through):
-    """``_backward_reachable`` by its definition: rescan ``through`` until
-    no state joins."""
+    """States with a path to ``targets`` whose intermediate states lie in
+    ``through``, by definition: rescan ``through`` until no state joins."""
     reached = set(targets)
     while True:
         new = {q for q in through - reached if any(r in reached for r, _ in rows[q])}
@@ -642,8 +645,8 @@ def rescanned_reachable(rows, targets, through):
 
 
 def rescanned_core(rows, den, region):
-    """``_stable_core`` by its definition: drop every leaking state until
-    none leaks."""
+    """The largest subset of ``region`` that keeps all its mass, by
+    definition: drop every leaking state until none leaks."""
     core = set(region)
     while True:
         leaking = {q for q in core if sum(p for r, p in rows[q] if r in core) != den}
@@ -652,34 +655,116 @@ def rescanned_core(rows, den, region):
         core -= leaking
 
 
-class TestFixpoints:
-    """Reachability and the no-leak core are computed by worklists; both
-    are unique fixpoints, so they equal their rescanning definitions."""
+def reference_fixed_point(states, rows, den, within, ones, greatest):
+    """``oracle._fixed_point`` the way it was solved before: the states of
+    ``within`` that reach the targets by a graph pass, one ``Fraction``
+    solve over them, and for the greatest fixed point the no-leak core of
+    ``within`` added to the targets."""
+    targets = ones | rescanned_core(rows, den, within) if greatest else ones
+    reach = rescanned_reachable(rows, targets, within)
+    unknowns = [q for q in states if q in reach and q not in targets]
+    index = {q: i for i, q in enumerate(unknowns)}
+    matrix = [[Fraction(i == j) for j in range(len(unknowns))] for i in range(len(unknowns))]
+    rhs = [Fraction(0)] * len(unknowns)
+    for q in unknowns:
+        for r, p in rows[q]:
+            if r in targets:
+                rhs[index[q]] += Fraction(p, den)
+            elif r in index:
+                matrix[index[q]][index[r]] -= Fraction(p, den)
+    values = {q: Fraction(q in targets) for q in states}
+    if unknowns:
+        values.update(zip(unknowns, rational_gauss_jordan(matrix, rhs)))
+    return values
 
-    def test_a_leak_drains_the_chain_behind_it(self):
-        rows = {"a": (("b", 4),), "b": (("c", 4),), "c": (("c", 1), ("out", 3))}
-        assert oracle._stable_core(rows, 4, frozenset("abc")) == frozenset()
-        assert oracle._stable_core(rows, 4, frozenset("ab")) == frozenset()
 
-    def test_worklists_match_the_definitions(self):
+def seeded_rows(rng, states, den):
+    """One survivor row per state, with one to three successors; a fifth
+    of the rows lose an edge, as under a removal, and keep less than den."""
+    rows = {}
+    for q in states:
+        succ = rng.sample(states, rng.randint(1, min(3, len(states))))
+        cuts = sorted(rng.randint(0, den) for _ in succ[1:])
+        nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+        if rng.random() < 0.2:
+            succ, nums = succ[:-1], nums[:-1]
+        rows[q] = tuple((r, p) for r, p in zip(succ, nums) if p)
+    return rows
+
+
+class TestFixedPoint:
+    """State elimination gives each least and greatest fixed point the
+    values of a graph pass plus a rational solve."""
+
+    @staticmethod
+    def both(rows, den, within, ones):
+        states = sorted({*rows, *(r for row in rows.values() for r, _ in row)})
+        within, ones = frozenset(within), frozenset(ones)
+        return tuple(
+            oracle._fixed_point(states, rows, den, within, ones, greatest)
+            for greatest in (False, True)
+        )
+
+    def test_seeded_systems_match_the_reference(self):
         rng = random.Random(2024)
         den = 12
+        closed = 0
         for _ in range(300):
             states = [f"s{i}" for i in range(rng.randint(1, 12))]
-            rows = {}
-            for q in states:
-                succ = rng.sample(states, rng.randint(1, min(3, len(states))))
-                cuts = sorted(rng.randint(0, den) for _ in succ[1:])
-                nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
-                if rng.random() < 0.2:  # a removed edge: the row keeps less than den
-                    succ, nums = succ[:-1], nums[:-1]
-                rows[q] = tuple((r, p) for r, p in zip(succ, nums) if p)
-            region = frozenset(q for q in states if rng.random() < 0.7)
-            targets = frozenset(q for q in states if rng.random() < 0.2)
-            assert oracle._stable_core(rows, den, region) == rescanned_core(rows, den, region)
-            assert oracle._backward_reachable(rows, targets, region) == rescanned_reachable(
-                rows, targets, region
-            )
+            rows = seeded_rows(rng, states, den)
+            within = frozenset(q for q in states if rng.random() < 0.7)
+            ones = frozenset(q for q in states if q not in within and rng.random() < 0.4)
+            closed += bool(rescanned_core(rows, den, within))
+            for greatest in (False, True):
+                assert oracle._fixed_point(states, rows, den, within, ones, greatest) == (
+                    reference_fixed_point(states, rows, den, within, ones, greatest)
+                )
+        assert closed > 50
+
+    def test_a_leak_drains_the_chain_behind_it(self):
+        rows = {"a": (("b", 4),), "b": (("c", 4),), "c": (("c", 1), ("o", 3))}
+        for within in ("abc", "ab"):
+            least, greatest = self.both(rows, 4, within, "")
+            assert set(least.values()) == set(greatest.values()) == {0}
+            least, greatest = self.both(rows, 4, within, "o")
+            assert least == greatest
+            assert least["a"] == (1 if within == "abc" else 0)
+
+    def test_a_self_loop_is_a_closed_class(self):
+        rows = {"a": (("a", 1), ("b", 2), ("z", 1)), "b": (("b", 4),)}
+        least, greatest = self.both(rows, 4, "ab", "")
+        assert least == {"a": 0, "b": 0, "z": 0}
+        assert greatest == {"a": Fraction(2, 3), "b": 1, "z": 0}
+
+    def test_a_cycle_closes_once_one_of_its_states_is_eliminated(self):
+        # neither a nor b loops on itself: b's pivot is 0 only after a's
+        # equation is substituted into it, or a's after b's
+        rows = {"a": (("b", 4),), "b": (("a", 4),), "c": (("a", 2), ("g", 2))}
+        least, greatest = self.both(rows, 4, "abc", "g")
+        assert least == {"a": 0, "b": 0, "c": Fraction(1, 2), "g": 1}
+        assert greatest == {"a": 1, "b": 1, "c": 1, "g": 1}
+
+    def test_a_state_reaching_a_target_and_a_closed_class(self):
+        rows = {"s": (("g", 1), ("s", 1), ("t", 1), ("z", 1)), "t": (("t", 4),)}
+        least, greatest = self.both(rows, 4, "st", "g")
+        assert (least["s"], least["t"]) == (Fraction(1, 3), 0)
+        assert (greatest["s"], greatest["t"]) == (Fraction(2, 3), 1)
+
+
+class TestAtScale:
+    """A maximum is one exact solve, so the oracle checks the engine on a
+    1,000-state model."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return scaling_model(1000)
+
+    @pytest.mark.parametrize("path", ["a U b", "F b", "a R b", "G a"])
+    def test_max_mode_values_match_the_engine(self, model, path):
+        phi = parse(f"<<0 >= 1/2>> {path}")
+        exact = oracle_query_values(model, phi)
+        values = check(model, phi).values
+        assert max(abs(values[q] - exact[q]) for q in model.states) <= TOLERANCE
 
 
 class TestFormulaLevel:
@@ -700,7 +785,7 @@ class TestFormulaLevel:
 def rational_gauss_jordan(matrix, rhs):
     """Gauss-Jordan elimination over ``Fraction``, pivoting on the first
     nonzero entry at or below the diagonal: the reference for the oracle's
-    fraction-free solve."""
+    state elimination."""
     n = len(matrix)
     a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     for col in range(n):
@@ -714,73 +799,6 @@ def rational_gauss_jordan(matrix, rhs):
                 factor = a[r][col]
                 a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
-
-
-def fraction_free(matrix, rhs):
-    return oracle._solve([list(row) + [b] for row, b in zip(matrix, rhs)])
-
-
-def random_system(rng, n):
-    """An n x n integer system with many zero entries, so that pivots are
-    often zero and some systems are singular."""
-    scale = rng.choice([9, 1001, 10**30])
-    matrix = [
-        [rng.randint(-scale, scale) if rng.random() < 0.6 else 0 for _ in range(n)]
-        for _ in range(n)
-    ]
-    return matrix, [rng.randint(-scale, scale) for _ in range(n)]
-
-
-class TestFractionFreeSolve:
-    def test_seeded_systems_match_the_rational_elimination(self):
-        rng = random.Random(2024)
-        solved = singular = swapped = 0
-        for _ in range(600):
-            n = rng.randint(1, 6)
-            matrix, rhs = random_system(rng, n)
-            try:
-                expected = rational_gauss_jordan(matrix, rhs)
-            except ArithmeticError:
-                with pytest.raises(ArithmeticError, match="singular"):
-                    fraction_free(matrix, rhs)
-                singular += 1
-                continue
-            assert fraction_free(matrix, rhs) == expected
-            solved += 1
-            swapped += matrix[0][0] == 0
-        assert solved > 300 and singular > 50 and swapped > 50
-
-    @pytest.mark.parametrize(
-        "matrix, rhs, solution",
-        [
-            ([[0, 2], [3, 1]], [4, 5], [1, 2]),
-            # the second pivot is zero only after the first step
-            ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], [6, 9, 8], [1, 2, 3]),
-            ([[0, 0, 7], [0, 1001, 0], [13, 0, 0]], [7, 1, 2], [Fraction(2, 13), Fraction(1, 1001), 1]),
-        ],
-        ids=["first pivot", "later pivot", "anti-diagonal"],
-    )
-    def test_zero_pivots_swap_rows(self, matrix, rhs, solution):
-        assert rational_gauss_jordan(matrix, rhs) == solution
-        assert fraction_free(matrix, rhs) == solution
-
-    @pytest.mark.parametrize(
-        "matrix",
-        [
-            [[0]],
-            [[1, 2], [2, 4]],
-            [[0, 1], [0, 1]],
-            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
-            [[1001, -7, 0], [-11, 13, 0], [5, 5, 0]],
-        ],
-        ids=["zero", "dependent rows", "zero column", "rank two", "last column zero"],
-    )
-    def test_singular_systems_raise(self, matrix):
-        rhs = [1] * len(matrix)
-        with pytest.raises(ArithmeticError):
-            rational_gauss_jordan(matrix, rhs)
-        with pytest.raises(ArithmeticError, match="singular linear system"):
-            fraction_free(matrix, rhs)
 
 
 def reference_reach(pruned, through, targets):
