@@ -721,6 +721,41 @@ class TestFixedPoint:
                 )
         assert closed > 50
 
+    def test_values_do_not_depend_on_the_order_of_states(self):
+        # model order only breaks ties between pivots, so any order gives
+        # the same exact values
+        rng = random.Random(7)
+        den = 12
+        for _ in range(100):
+            states = [f"s{i}" for i in range(rng.randint(2, 12))]
+            rows = seeded_rows(rng, states, den)
+            within = frozenset(q for q in states if rng.random() < 0.7)
+            ones = frozenset(q for q in states if q not in within and rng.random() < 0.4)
+            shuffled = rng.sample(states, len(states))
+            for greatest in (False, True):
+                assert oracle._fixed_point(states, rows, den, within, ones, greatest) == (
+                    oracle._fixed_point(shuffled, rows, den, within, ones, greatest)
+                )
+
+    def test_a_large_prime_denominator_stays_exact(self):
+        rng = random.Random(11)
+        den = 1009
+        for _ in range(40):
+            states = [f"s{i}" for i in range(rng.randint(10, 25))]
+            rows = seeded_rows(rng, states, den)
+            within = frozenset(q for q in states if rng.random() < 0.8)
+            ones = frozenset(q for q in states if q not in within)
+            for greatest in (False, True):
+                assert oracle._fixed_point(states, rows, den, within, ones, greatest) == (
+                    reference_fixed_point(states, rows, den, within, ones, greatest)
+                )
+
+    def test_a_dead_end_is_zero_in_both_fixed_points(self):
+        # every edge of d is removed, and e's only edge leaves within
+        rows = {"a": (("d", 2), ("g", 2)), "d": (), "e": (("z", 4),)}
+        least, greatest = self.both(rows, 4, "ade", "g")
+        assert least == greatest == {"a": Fraction(1, 2), "d": 0, "e": 0, "g": 1, "z": 0}
+
     def test_a_leak_drains_the_chain_behind_it(self):
         rows = {"a": (("b", 4),), "b": (("c", 4),), "c": (("c", 1), ("o", 3))}
         for within in ("abc", "ab"):
