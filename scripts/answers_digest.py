@@ -12,6 +12,8 @@ U, R<=3 and R over atoms a and b, at grades {0, 1, 2, 4} in both modes:
   thresholds {0, 1/3, 1/2, 1}: sat set, values, iterations, warnings;
 - ``synthesize`` strategies, values and iterations (min mode);
 - ``check`` of a few nested formulas, one with an atom the model lacks;
+- ``prob_fixed`` values and iterations under vi and pi, under one seeded
+  random memoryless strategy per model and grade;
 
 plus ``best_removal`` on seeded star rows (degree 1 to 12, successor
 values at the edges of the float range, rows with more than 64 removal
@@ -72,6 +74,7 @@ from potl.engine import (
     check,
     operand_sets,
     path_values,
+    prob_fixed,
     synthesize,
 )
 from potl.generate import corpus, scaling_model
@@ -162,6 +165,19 @@ def random_strategy(rng, model, grade):
         if removed:
             removal[q] = frozenset(removed)
     return MemorylessStrategy(grade=grade, removal=removal)
+
+
+def fixed_results(model, seed):
+    opts = {solver: EngineOptions(solver=solver) for solver in ("vi", "pi")}
+    rng = random.Random(seed)
+    for grade in GRADES:
+        strategy = random_strategy(rng, model, grade)
+        for theta in THETAS:
+            sat1, sat2 = operand_sets(model, theta, opts["vi"], Stats())
+            for solver, opt in opts.items():
+                stats = Stats()
+                values = prob_fixed(model, strategy, theta, sat1, sat2, opt, stats)
+                yield ("fixed", solver, vector(values), stats.iterations)
 
 
 def optimum_results(model, theta, sat1, sat2, grade, mode):
@@ -471,7 +487,8 @@ def digest(streams):
 
 def main() -> None:
     models = corpus(2024, 60) + [scaling_model(200)]
-    count, hexdigest = digest([engine_results(m) for m in models] + [removal_results()])
+    fixed = [fixed_results(m, seed) for seed, m in enumerate(models)]
+    count, hexdigest = digest([engine_results(m) for m in models] + fixed + [removal_results()])
     print(f"results {count} sha256 {hexdigest}")
     count, hexdigest = digest([formula_results(formula_texts())])
     print(f"formulas {count} sha256 {hexdigest}")

@@ -206,6 +206,8 @@ def _cmd_prob(args) -> tuple[int, dict, list[str]]:
     model = _load_valid_model(args.model)
     theta = _read_path(args)
     opts = _engine_options(args)
+    if args.state is not None and args.state not in model.states:
+        raise _CliError(f"unknown state {args.state!r}", EXIT_USAGE)
     stats = engine.Stats()
     if args.strategy is not None:
         strategy = _load_strategy_for(model, args.strategy)
@@ -216,8 +218,6 @@ def _cmd_prob(args) -> tuple[int, dict, list[str]]:
         mode, grade = args.mode or "min", args.grade or 0
         values = engine.path_values(model, theta, grade, mode, opts, stats)
     if args.state is not None:
-        if args.state not in model.states:
-            raise _CliError(f"unknown state {args.state!r}", EXIT_USAGE)
         values = {args.state: values[args.state]}
     payload = _engine_payload(
         print_path(theta), (), values, mode, grade, stats.iterations, stats.warnings

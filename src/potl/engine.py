@@ -8,10 +8,10 @@ one for next, k for the step-bounded operators, none for unbounded until
 and release, which sweep to a fixed point. One Jacobi loop runs every
 frame. Its step is ``_argmin_step``, the engine's one optimizer call,
 which keeps each state's argmin removal (value iteration and witness
-synthesis; policy iteration improves with it too), or a fixed policy's
-row sums (max mode, and the power method of policy iteration). The
-sweeps run on two value buffers that swap roles after each sweep, so no
-vector is copied per sweep.
+synthesis; policy iteration improves with it too), or ``_policy_step``,
+a fixed strategy's row sums (max mode, policy iteration's rounds and
+``prob_fixed``; no pruned model is built). Sweeps run on two value
+buffers that swap roles after each sweep: no vector is copied per sweep.
 
 A step reads only its state's successors, so a state none of whose
 undetermined successors was stepped in a sweep would get the same float
@@ -23,7 +23,7 @@ a cycle, or upstream of one, are stepped by every sweep, so the cost per
 step stays constant on them. Values, residuals and sweep counts are bit
 for bit those of stepping every undetermined state in every sweep.
 
-Measure convention: pruned probability mass vanishes, nothing is
+Measure convention: removed probability mass vanishes, nothing is
 renormalized, and release is never complemented through until. Values are
 reported as computed, capped at 1 because a float row sum can round past
 it (0.33 + 0.56 + 0.11 sums to 1.0000000000000002 from the left);
@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Collection, Mapping, NamedTuple
 
-from .model import Pots, prune
+from .model import Edge, ModelError, Pots, prune  # prune: perfbench's tracer wraps it
 from .obstruction import (
     MemorylessStrategy,
     Removal,
@@ -164,7 +164,8 @@ def _frame(
         raise TypeError(f"not a core path operator: {op!r}")
     undetermined = [q for q in model.states if q in inside]
     succ = {q: model.row(q).succ for q in undetermined}
-    # a fixed policy only drops edges, so these serve its power method too
+    # a strategy only drops edges, so its evaluation runs on this frame too:
+    # a state that reaches sat2 only over removed edges stays at exactly 0.0
     return Frame(start, undetermined, sweeps, succ)
 
 
@@ -243,13 +244,14 @@ def _iterate(
     return x
 
 
-def _policy_step(model: Pots, policy: Mapping[str, Removal]) -> Step:
-    """Row sums of the chain pruned by a fixed removal policy, read once
-    from each state's ``Row``."""
+def _policy_step(model: Pots, frame: Frame, policy: Mapping[str, Collection[Edge]]) -> Step:
+    """The engine's one evaluation of a fixed strategy: each undetermined
+    state's row sum, less the edges ``policy`` removes at that state; a
+    state it does not name removes nothing. No pruned model is built."""
     rows = {}
-    for q, removed in policy.items():
+    for q in frame.undetermined:
         row = model.row(q)
-        gone = set(removed)
+        gone = policy.get(q, ())
         rows[q] = [(r, p) for e, r, p in zip(row.edges, row.succ, row.probs) if e not in gone]
 
     def step(q: str, x: Mapping[str, float]) -> float:
@@ -274,7 +276,7 @@ def _policy_iteration(
     chosen: dict[str, Removal] = {}
     argmin = _argmin_step(model, budget, chosen)
     for _ in range(_POLICY_ROUNDS):
-        x = _iterate(frame, _policy_step(model, policy), opts, stats)
+        x = _iterate(frame, _policy_step(model, frame, policy), opts, stats)
         # conservative improvement: the inner solve carries up to about an
         # epsilon of residual, so switching on smaller gains just makes
         # near-tied argmins flip forever. A removal worth exactly 0 is taken
@@ -304,12 +306,15 @@ def _optimum(
     # the maximizer removes nothing: its step is the empty policy's row sums
     # under either solver, since policy iteration would run the same sweeps
     if mode == "max":
-        step = _policy_step(model, dict.fromkeys(frame.undetermined, ()))
-        x = _iterate(frame, step, opts, stats)
+        x = _iterate(frame, _policy_step(model, frame, {}), opts, stats)
     elif frame.sweeps is None and opts.solver == "pi":
         x = _policy_iteration(model, frame, budget, opts, stats)
     else:
         x = _iterate(frame, _argmin_step(model, budget, {}), opts, stats)
+    return _capped(frame, x)
+
+
+def _capped(frame: Frame, x: dict[str, float]) -> dict[str, float]:
     for q in frame.undetermined:  # a float row sum can round past 1
         x[q] = min(x[q], 1.0)
     return x
@@ -422,11 +427,20 @@ def prob_fixed(
     opts: EngineOptions = DEFAULT_OPTIONS,
     stats: Stats | None = None,
 ) -> dict[str, float]:
-    """Float evaluation of a core path formula under one fixed strategy
-    (no optimization): the pruned chain's plain probabilities."""
-    removed = strategy.all_removed()
-    pruned = prune(model, removed) if removed else model
-    return _dispatch_path(pruned, theta, sat1, sat2, 0, "max", opts, stats)
+    """Float values of a core path formula under one fixed strategy: each
+    removed edge leaves its source's row (as in ``exact_prob``), evaluated
+    by ``_policy_step`` on the formula's own frame, capped and flushed as
+    the five operators report. An edge the model lacks raises ModelError."""
+    removal: dict[str, set[Edge]] = {}
+    for e in strategy.all_removed():
+        if e not in model.prob:
+            raise ModelError(f"cannot remove non-existent edge {e!r}")
+        removal.setdefault(e[0], set()).add(e)
+    frame = _frame(model, type(theta), sat1, sat2, getattr(theta, "bound", None))
+    x = _capped(frame, _iterate(frame, _policy_step(model, frame, removal), opts, stats))
+    if isinstance(theta, Release):
+        return {q: 0.0 if v < NEG_CLAMP else v for q, v in x.items()}
+    return x
 
 
 def synthesize(
@@ -442,7 +456,7 @@ def synthesize(
     runs over the frame, and its step, ``_argmin_step``, keeps the argmin
     removal at each state; the witness is each state's last kept removal
     (empty at horizon 0, where no step runs). The values are the witness's
-    fixed-strategy evaluation, which an exact re-run must reproduce."""
+    own, by ``prob_fixed``, which an exact re-run must reproduce."""
     frame = _frame(model, type(theta), sat1, sat2, getattr(theta, "bound", None))
     chosen: dict[str, Removal] = {}
     _iterate(frame, _argmin_step(model, budget, chosen), opts, stats)

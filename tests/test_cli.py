@@ -388,6 +388,18 @@ class TestProb:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("fixed", [False, True], ids=("optimum", "strategy"))
+    def test_unknown_state_is_refused_before_the_solve(self, capsys, chain_path, tmp_path, fixed):
+        # one sweep cannot converge on F goal, so a solve would exit 4
+        strategy = tmp_path / "s.json"
+        strategy.write_text('{"grade": 0, "removal": {}}')
+        flags = ("--strategy", str(strategy)) if fixed else ("--grade", "0")
+        code, out, err = run(
+            capsys, "prob", "--model", chain_path, "--path", "F goal", *flags,
+            "--state", "nosuch", "--max-iterations", "1",
+        )
+        assert (code, out, err) == (2, "", "unknown state 'nosuch'\n")
+
     def test_bad_path_formula_exits_two(self, capsys, chain_path):
         code, _, _ = run(capsys, "prob", "--model", chain_path, "--path", "goal")
         assert code == 2

@@ -30,9 +30,9 @@ from potl.engine import (
     Stats,
 )
 from potl.generate import corpus, random_pots, scaling_model
-from potl.model import Pots, dumps_model, load_model, loads_model
+from potl.model import ModelError, Pots, dumps_model, edges_of, load_model, loads_model, prune
 from potl.obstruction import MemorylessStrategy, validate_strategy
-from potl.oracle import exact_prob, oracle_optimum, oracle_sat
+from potl.oracle import exact_prob, oracle_optimum, oracle_sat, removal_options
 from potl.syntax import (
     FALSE,
     TRUE,
@@ -573,9 +573,9 @@ class TestPolicyImprovement:
         rounds = []  # each round evaluates its policy with a new _policy_step
         policy_step = engine._policy_step
 
-        def evaluating(model, policy):
+        def evaluating(model, frame, policy):
             rounds.append(policy)
-            return policy_step(model, policy)
+            return policy_step(model, frame, policy)
 
         monkeypatch.setattr(engine, "_policy_step", evaluating)
         path_values(model, op(Atom("a"), Atom("b")), 2, "min", EngineOptions(solver="pi"))
@@ -719,6 +719,77 @@ class TestSharedModel:
 
 
 class TestFixedAndSynthesis:
+    @pytest.mark.parametrize("solver", ["vi", "pi"])
+    def test_prob_fixed_is_the_pruned_chain_at_grade_zero_in_max_mode(self, solver):
+        """Rows less the removed edges, on the unpruned frame, give the bits
+        and sweeps of a max-mode solve on the pruned model, also when the
+        pruned graph shrinks until's frame and when a row is emptied."""
+        opts = EngineOptions(solver=solver)
+        rng = random.Random(31)
+        shrunk = 0
+        for model in corpus(2024, 40):
+            sat1, sat2 = label_sets(model)
+            for grade in (0, 1, 2, 4):
+                strict = {}
+                for q in model.states:
+                    removed = rng.choice(removal_options(model, q, grade))
+                    if removed:
+                        strict[q] = frozenset(removed)
+                emptied = rng.choice(model.states)
+                for removal in (strict, {**strict, emptied: frozenset(edges_of(model, emptied))}):
+                    strategy = MemorylessStrategy(grade=grade, removal=removal)
+                    pruned = prune(model, strategy.all_removed())
+                    for theta in ALL_OPS:
+                        got, want = Stats(), Stats()
+                        values = prob_fixed(model, strategy, theta, sat1, sat2, opts, got)
+                        reference = engine._dispatch_path(
+                            pruned, theta, sat1, sat2, 0, "max", opts, want
+                        )
+                        assert {q: v.hex() for q, v in values.items()} == {
+                            q: v.hex() for q, v in reference.items()
+                        }
+                        assert got.iterations == want.iterations
+                    own = engine._frame(model, Until, sat1, sat2).undetermined
+                    shrunk += len(engine._frame(pruned, Until, sat1, sat2).undetermined) < len(own)
+        assert shrunk > 10  # 15 of the 320 strict and emptied pairs
+
+    def test_prob_fixed_rejects_an_edge_the_model_lacks(self, chain):
+        strategy = MemorylessStrategy(grade=1, removal={"q": frozenset({("goal", "q")})})
+        theta = Until(TRUE, Atom("goal"))
+        with pytest.raises(ModelError, match=r"non-existent edge \('goal', 'q'\)"):
+            prob_fixed(chain, strategy, theta, frozenset(chain.states), frozenset({"goal"}))
+
+    @pytest.mark.parametrize("index, state", [(16, "S2"), (184, "S1")])
+    def test_a_witness_value_is_flushed_as_release_is(self, index, state):
+        # unflushed, the grade-1 witness of G a leaves 7.4e-19 at S2 of
+        # model 16 and 7.3e-13 at S1 of model 184 (TestFlushedReleaseVerdicts)
+        model = corpus(2024, 200)[index]
+        theta = Release(FALSE, Atom("a"))
+        sat1, sat2 = operand_sets(model, theta, EngineOptions(), Stats())
+        strategy, values = synthesize(model, theta, sat1, sat2, 1)
+        pruned = prune(model, strategy.all_removed())
+        assert values == engine._dispatch_path(
+            pruned, theta, sat1, sat2, 0, "max", EngineOptions(), None
+        )
+        assert values[state] == 0.0
+
+    def test_a_row_sum_past_one_is_capped(self):
+        # left to right, 0.33 + 0.56 + 0.11 is 1.0000000000000002
+        edges = [("q", "a", "0.33", 1), ("q", "b", "0.56", 1), ("q", "c", "0.11", 1)]
+        edges += [(r, r, 1, 1) for r in "abc"]
+        model = Pots.build(["q", "a", "b", "c"], "q", edges)
+        everything = frozenset(model.states)
+        strategy = MemorylessStrategy(grade=0, removal={})
+        assert prob_fixed(model, strategy, Next(TRUE), everything, everything)["q"] == 1.0
+
+    def test_an_edge_leaves_its_source_row_wherever_it_is_filed(self, chain):
+        # as prune and exact_prob read a strategy: goal files q's edge
+        misfiled = MemorylessStrategy(grade=1, removal={"goal": frozenset({("q", "goal")})})
+        theta = Until(TRUE, Atom("goal"))
+        sat1, sat2 = frozenset(chain.states), frozenset({"goal"})
+        assert prob_fixed(chain, misfiled, theta, sat1, sat2) == {"q": 0.0, "goal": 1.0}
+        assert exact_prob(chain, misfiled, theta, sat1, sat2) == {"q": 0, "goal": 1}
+
     def test_prob_fixed_matches_oracle(self, chain):
         cut = MemorylessStrategy(grade=1, removal={"q": frozenset({("q", "q")})})
         theta = Until(TRUE, Atom("goal"))
